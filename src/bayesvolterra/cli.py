@@ -104,21 +104,18 @@ def _parse_priors(text):
 
 def _parse_split(text):
     try:
-        if any(c in text for c in ".eE"):
-            value = float(text)
-            if not 0.0 < value < 1.0:
-                raise argparse.ArgumentTypeError(
-                    "fractional split must be in (0, 1)"
-                )
-            return value
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("split count must be at least 1")
-        return value
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "split must be a sample count or a fraction"
         ) from None
+    if value.is_integer():
+        if value < 1:
+            raise argparse.ArgumentTypeError("split count must be at least 1")
+        return int(value)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("fractional split must be in (0, 1)")
+    return value
 
 
 def build_parser():
@@ -158,7 +155,8 @@ def build_parser():
     p.add_argument("--noise-update", choices=("sweep", "final"), default="sweep",
                    help="refresh the noise precision every sweep or once at the end")
     p.add_argument("--ordered-sums", action="store_true",
-                   help="fixed summation order in the large reductions")
+                   help="no effect, kept for old scripts: every fit is bitwise "
+                   "reproducible at a fixed seed and BLAS thread count")
     p.add_argument("--out", type=Path, default=None,
                    help="model directory (best-bound seed when --seeds > 1)")
     p.add_argument("--metrics-out", type=Path, default=None,
@@ -242,7 +240,6 @@ def _cmd_identify(args):
             truncation_threshold=args.truncate_tol,
             lag_sparsity=(args.delta == "on"),
             noise_update=args.noise_update,
-            ordered_sums=args.ordered_sums,
             seed=args.seed + k,
         )
         started = time.perf_counter()

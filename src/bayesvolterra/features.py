@@ -1,9 +1,10 @@
 """Lag windows, design matrices, and their posterior expectations.
 
-The expected-Gram and expected-residual routines are where the inference
+The second-moment and expected-Gram routines are where the inference
 loop spends its time; both accept a precomputed khatri_rao(U, U) so it is
-built once per fit, and both offer an `ordered` flag that switches to a
-plain per-sample accumulation loop with a fixed summation order.
+built once per fit. Each reduction over samples has one implementation, a
+dense product or sum; a fit repeats bit for bit at a fixed seed and BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def second_moments(U, mean, cov, uu=None):
     return out
 
 
-def expected_gram(U, weights, uu=None, ordered=False):
+def expected_gram(U, weights, uu=None):
     """Posterior expectation of the design-matrix Gram, E[G G'].
 
     `weights` is the (R, R, N) Hadamard product of the other modes' second
@@ -94,11 +95,6 @@ def expected_gram(U, weights, uu=None, ordered=False):
     window, n_samples = U.shape
     if weights.shape != (rank, rank, n_samples):
         raise ValueError(f"weights shape {weights.shape} inconsistent with U {U.shape}")
-    if ordered:
-        out = np.zeros((rank * window, rank * window))
-        for n in range(n_samples):
-            out += np.kron(weights[:, :, n], np.outer(U[:, n], U[:, n]))
-        return out
     if uu is None:
         uu = khatri_rao(U, U)
     flat = weights.reshape(rank * rank, n_samples) @ uu.T
@@ -118,7 +114,7 @@ def expected_output(U, means):
     return prods.sum(axis=0)
 
 
-def expected_residual(U, y, means, moments, ordered=False):
+def expected_residual(U, y, means, moments):
     """E||y - G'w||^2 under the factor posteriors.
 
     `means` are the factor means (for the cross term) and `moments` the
@@ -134,10 +130,4 @@ def expected_residual(U, y, means, moments, ordered=False):
         prod = np.asarray(stack, dtype=float) if prod is None else prod * stack
     if prod is None:
         raise ValueError("moments list is empty")
-    if ordered:
-        quad = 0.0
-        for n in range(prod.shape[2]):
-            quad += float(prod[:, :, n].sum())
-    else:
-        quad = float(prod.sum())
-    return float(y @ y - 2.0 * float(y @ yhat) + quad)
+    return float(y @ y - 2.0 * float(y @ yhat) + float(prod.sum()))

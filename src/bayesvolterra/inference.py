@@ -28,8 +28,9 @@ class FitConfig:
 
     noise_update selects when the noise precision is refreshed: "sweep"
     (default, keeps every coordinate ascending so the bound is monotone)
-    or "final" (only after the loop). ordered_sums switches the large
-    per-sample reductions to a fixed left-to-right accumulation.
+    or "final" (only after the loop). A fit repeats bit for bit at a fixed
+    seed and BLAS thread count; other thread counts may change the last
+    digits, because the reductions run through BLAS.
     """
 
     order: int
@@ -39,7 +40,6 @@ class FitConfig:
     truncation_threshold: float = 1e-3
     lag_sparsity: bool = True
     noise_update: str = "sweep"
-    ordered_sums: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -125,7 +125,7 @@ def _cross_weights(moments, skip, rank, n_samples):
     return out
 
 
-def update_factor(state, U, y, mode, moments=None, uu=None, ordered=False):
+def update_factor(state, U, y, mode, moments=None, uu=None):
     """Exact Gaussian update of one factor given all other posteriors.
 
     `moments` carries the second-moment stacks of every mode (the entry
@@ -139,7 +139,7 @@ def update_factor(state, U, y, mode, moments=None, uu=None, ordered=False):
     if moments is None:
         moments = _all_second_moments(state, U, uu)
     weights = _cross_weights(moments, mode, rank, n_samples)
-    gram = expected_gram(U, weights, uu=uu, ordered=ordered)
+    gram = expected_gram(U, weights, uu=uu)
     gram = 0.5 * (gram + gram.T)
     tau = float(state.noise.mean)
     precision = tau * gram + prior_precision(state)
@@ -151,12 +151,7 @@ def update_factor(state, U, y, mode, moments=None, uu=None, ordered=False):
         if k == mode:
             continue
         h *= fac.mean.T @ U
-    if ordered:
-        rhs = np.zeros(rank * window)
-        for n in range(n_samples):
-            rhs += y[n] * np.kron(h[:, n], U[:, n])
-    else:
-        rhs = ((h * y) @ U.T).ravel()
+    rhs = ((h * y) @ U.T).ravel()
     vec_mean = tau * (cov @ rhs)
     if not np.isfinite(vec_mean).all():
         raise NumericFailure(f"factor {mode}: posterior mean is not finite")
@@ -208,13 +203,13 @@ def update_col_precisions(state):
     return posterior
 
 
-def update_noise_precision(state, U, y, moments=None, uu=None, ordered=False):
+def update_noise_precision(state, U, y, moments=None, uu=None):
     """Gamma update of the noise precision from the expected residual."""
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     if moments is None:
         moments = _all_second_moments(state, U, uu)
-    resid = expected_residual(U, y, state.factor_means, moments, ordered=ordered)
+    resid = expected_residual(U, y, state.factor_means, moments)
     posterior = GammaPosterior(
         float(state.priors.noise_shape + 0.5 * y.size),
         float(state.priors.noise_rate + 0.5 * max(resid, 0.0)),
@@ -239,7 +234,7 @@ def _gamma_prior_and_entropy(posterior, prior_shape, prior_rate):
     return float(np.sum(expected_prior + entropy))
 
 
-def compute_elbo(state, U, y, moments=None, uu=None, ordered=False):
+def compute_elbo(state, U, y, moments=None, uu=None):
     """Evidence lower bound of the current posterior, in closed form.
 
     Assembles the expected log-likelihood (via the expected residual and
@@ -265,7 +260,7 @@ def compute_elbo(state, U, y, moments=None, uu=None, ordered=False):
     tau_log = float(digamma(state.noise.shape) - np.log(state.noise.rate))
     priors = state.priors
 
-    resid = expected_residual(U, y, state.factor_means, moments, ordered=ordered)
+    resid = expected_residual(U, y, state.factor_means, moments)
     bound = 0.5 * n_samples * (tau_log - LOG_2PI) - 0.5 * tau * resid
 
     sum_col_log = float(col_log.sum())
@@ -359,7 +354,7 @@ def identify(U, y, config, priors=None, normalization=None):
         normalization=normalization,
         row_prec_fixed=not config.lag_sparsity,
     )
-    uu = None if config.ordered_sums else khatri_rao(U, U)
+    uu = khatri_rao(U, U)
     moments = _all_second_moments(state, U, uu)
     trace = FitTrace()
     previous = None
@@ -367,17 +362,14 @@ def identify(U, y, config, priors=None, normalization=None):
     for sweep in range(1, config.max_iter + 1):
         try:
             for d in range(state.order):
-                posterior = update_factor(state, U, y, d, moments=moments, uu=uu,
-                                          ordered=config.ordered_sums)
+                posterior = update_factor(state, U, y, d, moments=moments, uu=uu)
                 moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
             if config.lag_sparsity:
                 update_row_precisions(state)
             update_col_precisions(state)
             if config.noise_update == "sweep":
-                update_noise_precision(state, U, y, moments=moments, uu=uu,
-                                       ordered=config.ordered_sums)
-            bound = compute_elbo(state, U, y, moments=moments, uu=uu,
-                                 ordered=config.ordered_sums)
+                update_noise_precision(state, U, y, moments=moments, uu=uu)
+            bound = compute_elbo(state, U, y, moments=moments, uu=uu)
         except NumericFailure as err:
             err.iteration = sweep
             raise
@@ -393,6 +385,5 @@ def identify(U, y, config, priors=None, normalization=None):
         ):
             break
         previous = bound
-    update_noise_precision(state, U, y, moments=moments, uu=uu,
-                           ordered=config.ordered_sums)
+    update_noise_precision(state, U, y, moments=moments, uu=uu)
     return state, trace

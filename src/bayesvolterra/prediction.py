@@ -114,8 +114,8 @@ def evaluate(state, u, y, start=0, skip=0):
 
     Windows are built from the whole input (normalized with the state's
     stored record), so evaluation points after `start` see the true past;
-    metrics cover y[start + skip:]. `skip` exists to drop zero-padded
-    warm-up windows when the record has no usable history.
+    only the windows of y[start + skip:] are scored. `skip` exists to drop
+    zero-padded warm-up windows when the record has no usable history.
     """
     from .data import normalize_input
 
@@ -128,24 +128,21 @@ def evaluate(state, u, y, start=0, skip=0):
         raise ValueError(f"nothing to evaluate: start {start} + skip {skip} of {y.size}")
     record = state.normalization
     U = build_lagged_matrix(normalize_input(u, record), state.memory)
-    locations, scale_sq, dof = predictive_arrays(state, U)
+    locations, scale_sq, dof = predictive_arrays(state, U[:, first:])
     locations = record.output_mean + record.output_std * locations
     scales = record.output_std * np.sqrt(scale_sq)
     if dof > 2:
         variances = dof / (dof - 2.0) * scales**2
     else:
         variances = np.full_like(scales, float("nan"))
-    err = locations[first:] - y[first:]
-    value_rmse = float(np.sqrt(np.mean(err**2)))
-    value_nll = float(
-        -np.mean(stats.t.logpdf(y[first:], df=dof, loc=locations[first:],
-                                scale=scales[first:]))
-    )
+    y = y[first:]
+    value_rmse = float(np.sqrt(np.mean((locations - y) ** 2)))
+    value_nll = float(-np.mean(stats.t.logpdf(y, df=dof, loc=locations, scale=scales)))
     return EvalReport(
         rmse=value_rmse,
         nll=value_nll,
-        locations=locations[first:],
-        variances=variances[first:],
-        scales=scales[first:],
+        locations=locations,
+        variances=variances,
+        scales=scales,
         dof=dof,
     )

@@ -131,6 +131,27 @@ def test_identify_metrics_are_deterministic(pipeline, tmp_path):
         assert first[key] == second[key]
 
 
+def test_ordered_sums_flag_is_accepted_and_changes_nothing(pipeline, tmp_path):
+    runs = {}
+    for name, extra in (("plain", []), ("ordered", ["--ordered-sums"])):
+        model = tmp_path / name
+        metrics = tmp_path / f"{name}.json"
+        assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                     "--memory", "3", "--rank", "2", "--max-iter", "20",
+                     "--tol", "1e-300", "--split", "800", "--seed", "7",
+                     "--out", str(model), "--metrics-out", str(metrics),
+                     *extra]) == 0
+        with (model / "trace.csv").open(newline="") as handle:
+            elbo = [row["elbo"] for row in csv.DictReader(handle)]
+        runs[name] = (elbo, json.loads(metrics.read_text()))
+    plain_elbo, plain_metrics = runs["plain"]
+    ordered_elbo, ordered_metrics = runs["ordered"]
+    assert len(plain_elbo) == 20
+    assert ordered_elbo == plain_elbo
+    for key in METRIC_KEYS - {"runtime_s"}:
+        assert ordered_metrics[key] == plain_metrics[key]
+
+
 def test_seed_sweep_aggregates_metrics(pipeline, tmp_path):
     metrics = tmp_path / "sweep.json"
     assert main(["identify", "--data", str(pipeline.data), "--order", "2",
@@ -180,11 +201,26 @@ def test_malformed_priors_are_a_usage_error(pipeline):
     assert excinfo.value.code == 2
 
 
-def test_malformed_split_is_a_usage_error(pipeline):
+@pytest.mark.parametrize("split", ["1.5", "0.0", "half"])
+def test_malformed_split_is_a_usage_error(pipeline, split):
     with pytest.raises(SystemExit) as excinfo:
         main(["identify", "--data", str(pipeline.data), "--order", "2",
-              "--memory", "3", "--split", "1.5"])
+              "--memory", "3", "--split", split])
     assert excinfo.value.code == 2
+
+
+def test_integer_valued_float_split_is_a_count(pipeline, tmp_path):
+    outputs = {}
+    for split in ("800", "800.0", "8e2"):
+        metrics = tmp_path / f"{split}.json"
+        assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                     "--memory", "3", "--rank", "2", "--max-iter", "10",
+                     "--split", split, "--seed", "7",
+                     "--metrics-out", str(metrics)]) == 0
+        outputs[split] = json.loads(metrics.read_text())
+    for split in ("800.0", "8e2"):
+        for key in METRIC_KEYS - {"runtime_s"}:
+            assert outputs[split][key] == outputs["800"][key]
 
 
 def test_missing_data_file_reports_an_error(tmp_path, capsys):

@@ -166,13 +166,14 @@ def test_expected_gram_zero_covariance_is_plug_in():
     assert_allclose(gram, G @ G.T, rtol=1e-12, atol=1e-12)
 
 
-def test_expected_gram_ordered_path_matches_fast_path():
+def test_expected_gram_matches_per_sample_sum():
     rng = np.random.default_rng(9)
     U = build_lagged_matrix(rng.standard_normal(6), 2)
-    weights = random_psd(rng, 2)[:, :, None] * np.ones((1, 1, 6))
-    fast = expected_gram(U, weights)
-    slow = expected_gram(U, weights, ordered=True)
-    assert_allclose(fast, slow, rtol=1e-12)
+    weights = np.stack([random_psd(rng, 2) for _ in range(6)], axis=2)
+    slow = np.zeros((6, 6))
+    for n in range(6):
+        slow += np.kron(weights[:, :, n], np.outer(U[:, n], U[:, n]))
+    assert_allclose(expected_gram(U, weights), slow, rtol=1e-12)
 
 
 def test_expected_gram_is_symmetric_psd():
@@ -228,15 +229,18 @@ def test_expected_residual_trivial_cases():
     assert_allclose(resid, direct, rtol=1e-10, atol=1e-10)
 
 
-def test_expected_residual_ordered_path_matches():
+def test_expected_residual_matches_per_sample_sum():
     rng = np.random.default_rng(14)
     U = build_lagged_matrix(rng.standard_normal(8), 2)
     y = rng.standard_normal(8)
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
     moments = [second_moments(U, m, random_psd(rng, 6)) for m in means]
-    fast = expected_residual(U, y, means, moments)
-    slow = expected_residual(U, y, means, moments, ordered=True)
-    assert_allclose(fast, slow, rtol=1e-12)
+    prod = moments[0] * moments[1]
+    yhat = np.array([cpd_dot(means, U[:, n]) for n in range(8)])
+    slow = float(y @ y) - 2.0 * float(y @ yhat)
+    for n in range(8):
+        slow += float(prod[:, :, n].sum())
+    assert_allclose(expected_residual(U, y, means, moments), slow, rtol=1e-12)
 
 
 def test_expected_residual_against_monte_carlo():

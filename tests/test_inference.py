@@ -383,23 +383,17 @@ def test_numeric_failure_carries_the_sweep_index():
     assert "sweep 1" in str(excinfo.value)
 
 
-def test_identify_is_deterministic_with_ordered_sums():
+def test_identify_is_deterministic():
     U, y = regression_problem(13, n=60, memory=3)
-    config = FitConfig(order=2, rank=2, max_iter=8, elbo_rel_tol=1e-300,
-                       ordered_sums=True, seed=13)
-    _, trace_a = identify(U, y, config)
-    _, trace_b = identify(U, y, config)
+    config = FitConfig(order=2, rank=2, max_iter=8, elbo_rel_tol=1e-300, seed=13)
+    state_a, trace_a = identify(U, y, config)
+    state_b, trace_b = identify(U, y, config)
     assert trace_a.elbo == trace_b.elbo
     assert trace_a.rank == trace_b.rank
     assert trace_a.noise_mean == trace_b.noise_mean
-
-
-def test_ordered_and_fast_paths_agree():
-    U, y = regression_problem(14, n=50, memory=3)
-    kwargs = dict(order=2, rank=2, max_iter=6, elbo_rel_tol=1e-300, seed=14)
-    _, fast = identify(U, y, FitConfig(**kwargs))
-    _, slow = identify(U, y, FitConfig(ordered_sums=True, **kwargs))
-    assert_allclose(fast.elbo, slow.elbo, rtol=1e-8)
+    for f_a, f_b in zip(state_a.factors, state_b.factors, strict=True):
+        assert_array_equal(f_a.mean, f_b.mean)
+        assert_array_equal(f_a.cov, f_b.cov)
 
 
 def test_truncation_drops_exact_zero_columns_without_moving_predictions():
