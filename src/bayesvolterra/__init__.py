@@ -29,6 +29,7 @@ from .errors import (
 )
 from .features import (
     build_lagged_matrix,
+    column_products,
     design_matrix,
     expected_gram,
     expected_output,
@@ -59,21 +60,13 @@ from .persistence import load_manifest, load_model, save_model
 from .prediction import (
     EvalReport,
     StudentTPrediction,
-    denormalize_prediction,
     evaluate,
     nll,
+    predict,
     predict_one,
-    predict_series,
     predictive_arrays,
     rmse,
 )
-from .tensor_ops import (
-    cpd_dot,
-    cpd_reconstruct,
-    hadamard,
-    khatri_rao,
-    kronecker,
-    vec_index,
-)
+from .tensor_ops import khatri_rao
 
 __version__ = "0.1.0"

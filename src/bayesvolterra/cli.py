@@ -33,53 +33,22 @@ from .persistence import load_manifest, load_model, save_model
 TRACE_NAME = "trace.csv"
 
 
-def _positive_int(label):
+def _number(label, kind, minimum, strict=False):
+    """Argument type for a `kind` (int or float) of at least `minimum`, or
+    above it when `strict`; NaN fails either comparison and is refused."""
+    noun = "an integer" if kind is int else "a number"
+    if strict:
+        rule = "positive" if minimum == 0 else f"greater than {minimum}"
+    else:
+        rule = "nonnegative" if minimum == 0 else f"at least {minimum}"
+
     def parse(text):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be an integer") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{label} must be at least 1")
-        return value
-
-    return parse
-
-
-def _nonnegative_int(label):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be an integer") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{label} must be nonnegative")
-        return value
-
-    return parse
-
-
-def _positive_float(label):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be a number") from None
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{label} must be positive")
-        return value
-
-    return parse
-
-
-def _nonnegative_float(label):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be a number") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{label} must be nonnegative")
+            raise argparse.ArgumentTypeError(f"{label} must be {noun}") from None
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(f"{label} must be {rule}")
         return value
 
     return parse
@@ -128,19 +97,20 @@ def build_parser():
 
     p = sub.add_parser("identify", help="fit a model to a u,y record")
     p.add_argument("--data", required=True, type=Path, help="input CSV (header u,y)")
-    p.add_argument("--order", required=True, type=_positive_int("order"),
+    p.add_argument("--order", required=True, type=_number("order", int, 1),
                    help="Volterra order D")
-    p.add_argument("--memory", required=True, type=_positive_int("memory"),
+    p.add_argument("--memory", required=True, type=_number("memory", int, 1),
                    help="memory length M (the window adds a constant term)")
-    p.add_argument("--rank", type=_positive_int("rank"), default=20,
+    p.add_argument("--rank", type=_number("rank", int, 1), default=20,
                    help="initial CPD rank (default 20)")
-    p.add_argument("--max-iter", type=_positive_int("max-iter"), default=200)
-    p.add_argument("--tol", type=_positive_float("tol"), default=1e-6,
+    p.add_argument("--max-iter", type=_number("max-iter", int, 1), default=200)
+    p.add_argument("--tol", type=_number("tol", float, 0, strict=True), default=1e-6,
                    help="relative bound change declaring convergence")
-    p.add_argument("--truncate-tol", type=_positive_float("truncate-tol"),
-                   default=1e-3, help="relative column-RMS truncation threshold")
+    p.add_argument("--truncate-tol", default=1e-3,
+                   type=_number("truncate-tol", float, 0, strict=True),
+                   help="relative column-RMS truncation threshold")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=_positive_int("seeds"), default=1,
+    p.add_argument("--seeds", type=_number("seeds", int, 1), default=1,
                    help="run this many consecutive seeds and aggregate metrics")
     p.add_argument("--delta", choices=("on", "off"), default="on",
                    help="learn per-lag precisions (off fixes them at 1)")
@@ -150,7 +120,7 @@ def build_parser():
     p.add_argument("--split", type=_parse_split, default=None,
                    help="estimation size (count or fraction); metrics then "
                    "cover the remaining samples")
-    p.add_argument("--skip-warmup", type=_nonnegative_int("skip-warmup"), default=0,
+    p.add_argument("--skip-warmup", type=_number("skip-warmup", int, 0), default=0,
                    help="drop this many leading samples from the metrics")
     p.add_argument("--noise-update", choices=("sweep", "final"), default="sweep",
                    help="refresh the noise precision every sweep or once at the end")
@@ -175,19 +145,19 @@ def build_parser():
     p.add_argument("--data", required=True, type=Path)
     p.add_argument("--split", type=_parse_split, default=None,
                    help="skip this estimation prefix and score the remainder")
-    p.add_argument("--skip-warmup", type=_nonnegative_int("skip-warmup"), default=0)
+    p.add_argument("--skip-warmup", type=_number("skip-warmup", int, 0), default=0)
     p.add_argument("--out", type=Path, default=None,
                    help="write the metrics JSON here instead of stdout")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="draw a synthetic record from a random system")
-    p.add_argument("--order", required=True, type=_positive_int("order"))
-    p.add_argument("--memory", required=True, type=_positive_int("memory"))
-    p.add_argument("--rank", type=_positive_int("rank"), default=2,
+    p.add_argument("--order", required=True, type=_number("order", int, 1))
+    p.add_argument("--memory", required=True, type=_number("memory", int, 1))
+    p.add_argument("--rank", type=_number("rank", int, 1), default=2,
                    help="true CPD rank of the random system (default 2)")
-    p.add_argument("--noise-std", type=_nonnegative_float("noise-std"), default=0.01,
+    p.add_argument("--noise-std", type=_number("noise-std", float, 0), default=0.01,
                    help="output noise std; the clean output is scaled to std 1")
-    p.add_argument("--n", type=_positive_int("n"), default=2000)
+    p.add_argument("--n", type=_number("n", int, 1), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_simulate)
@@ -289,11 +259,7 @@ def _cmd_identify(args):
 def _cmd_predict(args):
     state = load_model(args.model)
     dataset = load_csv(args.data)
-    record = state.normalization
-    U = build_lagged_matrix(normalize_input(dataset.u, record), state.memory)
-    locations, scale_sq, dof = prediction.predictive_arrays(state, U)
-    locations = record.output_mean + record.output_std * locations
-    scales = record.output_std * np.sqrt(scale_sq)
+    locations, scales, dof = prediction.predict(state, dataset.u)
     with args.out.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["y_mean", "y_scale", "y_dof"])

@@ -10,7 +10,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataFormatError
-from .features import build_lagged_matrix
+from .features import build_lagged_matrix, column_products, expected_output
 from .model import NormalizationRecord
 from .tensor_ops import check_factors
 
@@ -142,7 +142,7 @@ class SyntheticSystem:
             raise ValueError("order must be at least 1")
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be nonnegative")
         if (self.kernels is None) == (self.factors is None):
             raise ValueError("provide exactly one of kernels or factors")
@@ -176,11 +176,7 @@ def synthesize(system, u, seed=None, rng=None):
     if not np.isfinite(u).all():
         raise ValueError("input signal must be finite")
     if system.factors is not None:
-        U = build_lagged_matrix(u, system.memory)
-        prods = np.ones((np.shape(system.factors[0])[1], u.size))
-        for fac in system.factors:
-            prods *= np.asarray(fac, dtype=float).T @ U
-        y = prods.sum(axis=0)
+        y = expected_output(build_lagged_matrix(u, system.memory), system.factors)
     else:
         if system.memory**system.order > 1_000_000:
             raise ValueError(
@@ -232,10 +228,7 @@ def calibrate_components(system, u, component_std=1.0):
     if system.factors is None:
         raise ValueError("calibration needs a CPD-form system")
     u = np.asarray(u, dtype=float)
-    U = build_lagged_matrix(u, system.memory)
-    outputs = np.ones((np.shape(system.factors[0])[1], u.size))
-    for fac in system.factors:
-        outputs *= np.asarray(fac, dtype=float).T @ U
+    outputs = column_products(build_lagged_matrix(u, system.memory), system.factors)
     stds = outputs.std(axis=1)
     if np.any(stds <= 1e-12):
         raise ValueError("degenerate component: clean output is constant")
@@ -258,20 +251,13 @@ def center_output(system, u):
     u = np.asarray(u, dtype=float)
     U = build_lagged_matrix(u, system.memory)
     factors = [np.asarray(fac, dtype=float).copy() for fac in system.factors]
-    projections = [fac.T @ U for fac in factors]
-    outputs = np.ones_like(projections[0])
-    for proj in projections:
-        outputs *= proj
     # adding t to factor 0's constant row in column r shifts the output by
     # t times the product of the other factors' projections for that column
-    cofactor = np.ones_like(projections[0])
-    for proj in projections[1:]:
-        cofactor *= proj
-    cofactor_means = cofactor.mean(axis=1)
+    cofactor_means = column_products(U, factors, skip=0).mean(axis=1)
     column = int(np.argmax(np.abs(cofactor_means)))
     if abs(cofactor_means[column]) <= 1e-12:
         raise ValueError("degenerate system: constant shift has no effect on "
                          "the mean output")
-    factors[0][0, column] -= outputs.sum(axis=0).mean() / cofactor_means[column]
+    factors[0][0, column] -= expected_output(U, factors).mean() / cofactor_means[column]
     return SyntheticSystem(order=system.order, memory=system.memory,
                            factors=factors, noise_std=system.noise_std)

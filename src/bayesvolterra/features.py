@@ -1,10 +1,13 @@
-"""Lag windows, design matrices, and their posterior expectations.
+"""Lag windows, the CPD contraction, design matrices, and their posterior
+expectations.
 
-The second-moment and expected-Gram routines are where the inference
-loop spends its time; both accept a precomputed khatri_rao(U, U) so it is
-built once per fit. Each reduction over samples has one implementation, a
-dense product or sum; a fit repeats bit for bit at a fixed seed and BLAS
-thread count.
+Every model output, design column and synthetic record comes from one
+contraction, column_products: the (R, N) stack of per-column products
+prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
+the inference loop spends its time; both accept a precomputed
+khatri_rao(U, U) so it is built once per fit. Each reduction over samples
+has one implementation, a dense product or sum; a fit repeats bit for bit
+at a fixed seed and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +39,27 @@ def build_lagged_matrix(signal, memory):
     return out
 
 
+def column_products(U, factors, skip=None):
+    """The (R, N) stack prod_{d != skip} (W_d' U), one row per CPD column.
+
+    Column n, summed over rows, is the model output at window u_n; with
+    `skip` set it is the cofactor that multiplies factor `skip`. The
+    product over no factors is all ones.
+    """
+    order, window, rank = check_factors(factors)
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[0] != window:
+        raise ValueError(f"window matrix has shape {U.shape}, "
+                         f"factors expect {window} rows")
+    if skip is not None and not 0 <= skip < order:
+        raise ValueError(f"mode {skip} out of range for {order} factors")
+    out = np.ones((rank, U.shape[1]))
+    for d, fac in enumerate(factors):
+        if d != skip:
+            out *= np.asarray(fac, dtype=float).T @ U
+    return out
+
+
 def design_matrix(U, means, mode):
     """Design matrix for one factor: column n = (had_{k != mode} W_k' u_n) kron u_n.
 
@@ -43,18 +67,8 @@ def design_matrix(U, means, mode):
     factor it multiplies. For a single-factor model the product over the
     other modes is empty and the result is U repeated over the rank.
     """
-    order, window, rank = check_factors(means)
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != window:
-        raise ValueError(f"window matrix has {U.shape[0]} rows, factors expect {window}")
-    if not 0 <= mode < order:
-        raise ValueError(f"mode {mode} out of range for {order} factors")
-    h = np.ones((rank, U.shape[1]))
-    for k, fac in enumerate(means):
-        if k == mode:
-            continue
-        h *= np.asarray(fac, dtype=float).T @ U
-    return khatri_rao(h, U)
+    return khatri_rao(column_products(U, means, skip=mode), U)
 
 
 def second_moments(U, mean, cov, uu=None):
@@ -104,14 +118,7 @@ def expected_gram(U, weights, uu=None):
 
 def expected_output(U, means):
     """Plug-in model output for every column of U: sum_r prod_d (W_d' u_n)_r."""
-    order, window, rank = check_factors(means)
-    U = np.asarray(U, dtype=float)
-    if U.shape[0] != window:
-        raise ValueError(f"window matrix has {U.shape[0]} rows, factors expect {window}")
-    prods = np.ones((rank, U.shape[1]))
-    for fac in means:
-        prods *= np.asarray(fac, dtype=float).T @ U
-    return prods.sum(axis=0)
+    return column_products(U, means).sum(axis=0)
 
 
 def expected_residual(U, y, means, moments):

@@ -16,7 +16,13 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma, gammaln
 
 from .errors import NumericFailure
-from .features import expected_gram, expected_residual, khatri_rao, second_moments
+from .features import (
+    column_products,
+    expected_gram,
+    expected_residual,
+    khatri_rao,
+    second_moments,
+)
 from .model import FactorPosterior, GammaPosterior, init_state, prior_precision
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -146,11 +152,7 @@ def update_factor(state, U, y, mode, moments=None, uu=None):
     cov, prec_logdet = _solve_spd(precision, f"factor {mode}")
     cov = 0.5 * (cov + cov.T)
     # right-hand side E[G] y, with the design matrix at the current means
-    h = np.ones((rank, n_samples))
-    for k, fac in enumerate(state.factors):
-        if k == mode:
-            continue
-        h *= fac.mean.T @ U
+    h = column_products(U, state.factor_means, skip=mode)
     rhs = ((h * y) @ U.T).ravel()
     vec_mean = tau * (cov @ rhs)
     if not np.isfinite(vec_mean).all():

@@ -129,6 +129,13 @@ def load_model(directory):
         row_prec_fixed = bool(manifest["row_prec_fixed"])
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
+    for name, posterior in (("noise", noise), ("col_prec", col_prec),
+                            ("row_prec", row_prec)):
+        for part in ("shape", "rate"):
+            values = np.asarray(getattr(posterior, part))
+            if not (np.isfinite(values).all() and (values > 0).all()):
+                raise ModelFormatError(f"{directory / MANIFEST_NAME}: {name} {part} "
+                                       "must be positive and finite")
     window = memory + 1
     factors = []
     for d in range(order):

@@ -1,4 +1,10 @@
-"""Student-t predictive distribution and evaluation metrics."""
+"""Student-t predictive distributions and evaluation metrics, as arrays.
+
+predictive_arrays gives model-unit locations, squared scales and dof for a
+window matrix. predict is the whole path from a raw input record to
+original output units, and evaluate scores it with the array metrics rmse
+and nll. predict_one and StudentTPrediction cover a single lag window.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .data import normalize_input
 from .features import build_lagged_matrix, design_matrix, expected_output
 
 
@@ -26,10 +33,15 @@ class StudentTPrediction:
 
     @property
     def variance(self):
-        """dof/(dof-2) * scale^2; NaN when the dof do not support a variance."""
-        if self.dof <= 2:
-            return float("nan")
-        return self.dof / (self.dof - 2.0) * self.scale**2
+        """Predictive variance; NaN when dof <= 2."""
+        return float(_variance(self.scale, self.dof))
+
+
+def _variance(scales, dof):
+    """dof/(dof-2) * scale^2; NaN when the dof do not support a variance."""
+    if dof <= 2:
+        return np.full_like(scales, float("nan"))
+    return dof / (dof - 2.0) * np.square(scales)
 
 
 def predictive_arrays(state, U):
@@ -58,43 +70,41 @@ def predict_one(state, window):
     return StudentTPrediction(float(locations[0]), float(np.sqrt(scale_sq[0])), dof)
 
 
-def predict_series(state, U):
-    """Per-column predictions for a window matrix, model units."""
-    locations, scale_sq, dof = predictive_arrays(state, U)
-    scales = np.sqrt(scale_sq)
-    return [
-        StudentTPrediction(float(locations[n]), float(scales[n]), dof)
-        for n in range(locations.size)
-    ]
+def predict(state, u, start=0):
+    """Original-unit (locations, scales, dof) for the windows of u[start:].
+
+    The raw input is normalized with the state's stored record and the
+    windows are built from the whole record, so the windows after `start`
+    see the true past; only those windows go through predictive_arrays.
+    """
+    u = np.asarray(u, dtype=float)
+    if not 0 <= start < u.size:
+        raise ValueError(f"nothing to predict: start {start} of {u.size} samples")
+    record = state.normalization
+    U = build_lagged_matrix(normalize_input(u, record), state.memory)
+    locations, scale_sq, dof = predictive_arrays(state, U[:, start:])
+    return (record.output_mean + record.output_std * locations,
+            record.output_std * np.sqrt(scale_sq), dof)
 
 
-def denormalize_prediction(prediction, record):
-    """Map a model-unit prediction back to original output units."""
-    return StudentTPrediction(
-        record.output_mean + record.output_std * prediction.location,
-        record.output_std * prediction.scale,
-        prediction.dof,
-    )
-
-
-def rmse(predictions, y):
-    """Root mean squared error of the predictive locations."""
+def _paired(y, locations):
     y = np.asarray(y, dtype=float)
-    locations = np.array([p.location for p in predictions])
+    locations = np.asarray(locations, dtype=float)
     if locations.shape != y.shape:
         raise ValueError("predictions and targets have different lengths")
+    return y, locations
+
+
+def rmse(y, locations):
+    """Root mean squared error of the predictive locations."""
+    y, locations = _paired(y, locations)
     return float(np.sqrt(np.mean((locations - y) ** 2)))
 
 
-def nll(predictions, y):
-    """Mean negative log predictive density at the observed outputs."""
-    y = np.asarray(y, dtype=float)
-    locations = np.array([p.location for p in predictions])
-    if locations.shape != y.shape:
-        raise ValueError("predictions and targets have different lengths")
-    scales = np.array([p.scale for p in predictions])
-    dofs = np.array([p.dof for p in predictions])
-    return float(-np.mean(stats.t.logpdf(y, df=dofs, loc=locations, scale=scales)))
+def nll(y, locations, scales, dof):
+    """Mean negative log Student-t predictive density at the observed outputs."""
+    y, locations = _paired(y, locations)
+    return float(-np.mean(stats.t.logpdf(y, df=dof, loc=locations, scale=scales)))
 
 
 @dataclass
@@ -112,37 +122,23 @@ class EvalReport:
 def evaluate(state, u, y, start=0, skip=0):
     """Score the model on a raw record, reporting original-unit metrics.
 
-    Windows are built from the whole input (normalized with the state's
-    stored record), so evaluation points after `start` see the true past;
-    only the windows of y[start + skip:] are scored. `skip` exists to drop
-    zero-padded warm-up windows when the record has no usable history.
+    The windows of y[start + skip:] are scored by predict, so they see the
+    true past of the input. `skip` exists to drop zero-padded warm-up
+    windows when the record has no usable history.
     """
-    from .data import normalize_input
-
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError("u and y must be one-dimensional and equally long")
-    first = start + skip
-    if not 0 <= first < y.size:
-        raise ValueError(f"nothing to evaluate: start {start} + skip {skip} of {y.size}")
-    record = state.normalization
-    U = build_lagged_matrix(normalize_input(u, record), state.memory)
-    locations, scale_sq, dof = predictive_arrays(state, U[:, first:])
-    locations = record.output_mean + record.output_std * locations
-    scales = record.output_std * np.sqrt(scale_sq)
-    if dof > 2:
-        variances = dof / (dof - 2.0) * scales**2
-    else:
-        variances = np.full_like(scales, float("nan"))
-    y = y[first:]
-    value_rmse = float(np.sqrt(np.mean((locations - y) ** 2)))
-    value_nll = float(-np.mean(stats.t.logpdf(y, df=dof, loc=locations, scale=scales)))
+    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        raise ValueError("u and y must be finite")
+    locations, scales, dof = predict(state, u, start + skip)
+    y = y[start + skip:]
     return EvalReport(
-        rmse=value_rmse,
-        nll=value_nll,
+        rmse=rmse(y, locations),
+        nll=nll(y, locations, scales, dof),
         locations=locations,
-        variances=variances,
+        variances=_variance(scales, dof),
         scales=scales,
         dof=dof,
     )

@@ -1,38 +1,17 @@
-"""Dense Kronecker/Khatri-Rao kernels and CPD contractions.
+"""Dense Khatri-Rao kernel and CPD factor validation.
 
 Every vectorized quantity in this package follows one layout rule: the
 first tensor index varies fastest. For an I x R matrix W this is
 column-major, vec(W)[r*I + i] = W[i, r] (zero-based), while kron(a, b)
-follows numpy in letting the first operand vary slowest. The two
-conventions are chosen together so that vec, Kronecker products, and the
-CPD contractions below stay mutually consistent; the contraction-identity
-tests pin this down numerically.
+follows numpy in letting the first operand vary slowest, so that column
+j of khatri_rao(a, b) is kron(a[:, j], b[:, j]). The CPD contraction
+itself is features.column_products; the tests pin these conventions
+against explicit Kronecker expansions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def vec_index(indices, dims):
-    """Linear index (1-based) of a multi-index, first index fastest."""
-    if len(indices) != len(dims):
-        raise ValueError("indices and dims must have equal length")
-    pos = 0
-    stride = 1
-    for idx, dim in zip(indices, dims):
-        if dim < 1:
-            raise ValueError("dimensions must be positive")
-        if not 1 <= idx <= dim:
-            raise ValueError(f"index {idx} out of range 1..{dim}")
-        pos += (idx - 1) * stride
-        stride *= dim
-    return pos + 1
-
-
-def kronecker(a, b):
-    """Kronecker product, first operand varying slowest."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def khatri_rao(a, b):
@@ -48,15 +27,6 @@ def khatri_rao(a, b):
     )
 
 
-def hadamard(a, b):
-    """Elementwise product with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def check_factors(factors):
     """Validate a CPD factor list and return (order, window, rank)."""
     if len(factors) == 0:
@@ -68,43 +38,3 @@ def check_factors(factors):
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
         raise ValueError(f"factors must be nonempty matrices, got shape {shape}")
     return len(factors), shape[0], shape[1]
-
-
-def cpd_reconstruct(factors, max_size=1_000_000):
-    """Expand CPD factors into the full coefficient vector of length I**D.
-
-    Test oracle only; the result grows as I**D. Entries are laid out with
-    the mode-1 index fastest, so position vec_index((i_1, ..., i_D)) holds
-    sum_r prod_d W_d[i_d - 1, r].
-    """
-    order, window, rank = check_factors(factors)
-    size = window**order
-    if size > max_size:
-        raise ValueError(
-            f"full coefficient vector would hold {size} entries "
-            f"(bound {max_size}); refusing to materialize"
-        )
-    out = np.zeros(size)
-    for r in range(rank):
-        acc = np.asarray(factors[0], dtype=float)[:, r]
-        for fac in factors[1:]:
-            # kron with the new mode first keeps earlier modes varying faster
-            acc = np.kron(np.asarray(fac, dtype=float)[:, r], acc)
-        out += acc
-    return out
-
-
-def cpd_dot(factors, u):
-    """Contract CPD-coded coefficients with the degree-D monomials of u.
-
-    Equals cpd_reconstruct(factors) @ (u kron ... kron u) but runs in
-    O(D*I*R) without materializing either side.
-    """
-    order, window, rank = check_factors(factors)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (window,):
-        raise ValueError(f"window has shape {u.shape}, factors expect ({window},)")
-    prods = np.ones(rank)
-    for fac in factors:
-        prods *= np.asarray(fac, dtype=float).T @ u
-    return float(prods.sum())

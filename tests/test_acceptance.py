@@ -16,11 +16,10 @@ import pytest
 
 from bayesvolterra import (
     FitConfig,
-    StudentTPrediction,
     build_lagged_matrix,
     compute_normalization,
-    cpd_dot,
     evaluate,
+    expected_output,
     identify,
     load_csv,
     load_model,
@@ -67,7 +66,7 @@ def test_criterion_1_contraction_identity():
             factors = [rng.standard_normal((window, rank))
                        for _ in range(order)]
             h = rng.standard_normal(window)
-            value = cpd_dot(factors, h)
+            value = float(expected_output(h.reshape(-1, 1), factors)[0])
             oracle = float(cpd_expand(factors) @ kron_chain([h] * order))
             worst = max(worst, abs(value - oracle) / (1.0 + abs(oracle)))
     elapsed = time.perf_counter() - started
@@ -195,9 +194,10 @@ def test_criterion_7_predictive_distribution():
                     abs(pred.dof - dof) / dof)
 
     dof = 1e6
-    unit_variance = StudentTPrediction(0.0, np.sqrt((dof - 2.0) / dof), dof)
+    unit_scale = np.sqrt((dof - 2.0) / dof)  # unit predictive variance
     gaussian_gap = abs(
-        nll([unit_variance], np.array([0.0])) - 0.5 * np.log(2.0 * np.pi)
+        nll(np.zeros(1), np.zeros(1), np.array([unit_scale]), dof)
+        - 0.5 * np.log(2.0 * np.pi)
     )
     _line("criterion 7, predictive distribution",
           worst < 1e-10 and gaussian_gap < 1e-3,

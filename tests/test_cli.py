@@ -6,8 +6,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from bayesvolterra import Dataset, init_state, save_csv, save_model
+from bayesvolterra import (
+    Dataset,
+    evaluate,
+    init_state,
+    load_csv,
+    load_model,
+    save_csv,
+    save_model,
+)
 from bayesvolterra.cli import main
 
 from _oracles import make_fading_data
@@ -65,6 +74,18 @@ def test_predict_writes_student_t_columns(pipeline):
     assert np.isfinite(body).all()
     assert (body[:, 1] > 0).all()
     assert np.unique(body[:, 2]).size == 1  # one dof for the whole model
+
+
+def test_predict_columns_equal_evaluate(pipeline):
+    out = pipeline.root / "pred_exact.csv"
+    assert main(["predict", "--model", str(pipeline.model),
+                 "--data", str(pipeline.data), "--out", str(out)]) == 0
+    with out.open(newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    dataset = load_csv(pipeline.data)
+    report = evaluate(load_model(pipeline.model), dataset.u, dataset.y)
+    assert_array_equal([float(row[0]) for row in rows], report.locations)
+    assert_array_equal([float(row[1]) for row in rows], report.scales)
 
 
 def test_report_trace_and_delta_profile(pipeline):
@@ -199,6 +220,42 @@ def test_malformed_priors_are_a_usage_error(pipeline):
         main(["identify", "--data", str(pipeline.data), "--order", "2",
               "--memory", "3", "--priors", "1,2,3"])
     assert excinfo.value.code == 2
+
+
+NUMBER_ERRORS = [
+    ("identify", "--order", "0", "order must be at least 1"),
+    ("identify", "--memory", "nan", "memory must be an integer"),
+    ("identify", "--rank", "1.5", "rank must be an integer"),
+    ("identify", "--max-iter", "0", "max-iter must be at least 1"),
+    ("identify", "--tol", "0", "tol must be positive"),
+    ("identify", "--tol", "nan", "tol must be positive"),
+    ("identify", "--truncate-tol", "nan", "truncate-tol must be positive"),
+    ("identify", "--seeds", "zero", "seeds must be an integer"),
+    ("identify", "--skip-warmup", "-1", "skip-warmup must be nonnegative"),
+    ("evaluate", "--skip-warmup", "-2", "skip-warmup must be nonnegative"),
+    ("simulate", "--noise-std", "nan", "noise-std must be nonnegative"),
+    ("simulate", "--noise-std", "-0.1", "noise-std must be nonnegative"),
+    ("simulate", "--noise-std", "low", "noise-std must be a number"),
+    ("simulate", "--n", "0", "n must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message", NUMBER_ERRORS,
+    ids=[f"{command}{flag}={value}" for command, flag, value, _ in NUMBER_ERRORS])
+def test_malformed_number_is_a_usage_error(pipeline, tmp_path, capsys,
+                                           command, flag, value, message):
+    base = {
+        "identify": ["--data", str(pipeline.data), "--order", "2", "--memory", "3"],
+        "evaluate": ["--model", str(pipeline.model), "--data", str(pipeline.data)],
+        "simulate": ["--order", "1", "--memory", "2",
+                     "--out", str(tmp_path / "sim.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *base, flag, value])
+    assert excinfo.value.code == 2
+    assert f"{message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
 
 
 @pytest.mark.parametrize("split", ["1.5", "0.0", "half"])

@@ -12,6 +12,7 @@ from bayesvolterra import (
     calibrate_components,
     center_output,
     compute_normalization,
+    expected_output,
     load_csv,
     normalize_input,
     random_cpd_system,
@@ -160,6 +161,14 @@ def test_synthesize_cpd_matches_nested_summation():
     assert_allclose(via_cpd, via_kernels, rtol=1e-12, atol=1e-12)
 
 
+def test_synthesize_is_the_model_output_without_noise():
+    rng = np.random.default_rng(4)
+    u = rng.uniform(0.0, 1.0, 80)
+    system = random_cpd_system(3, 6, 2, rng)
+    expected = expected_output(build_lagged_matrix(u, 6), system.factors)
+    assert_array_equal(synthesize(system, u, seed=0).y, expected)
+
+
 def test_synthesize_cpd_rank2_matches_nested_summation():
     rng = np.random.default_rng(3)
     factors = [rng.standard_normal((5, 2)) for _ in range(2)]
@@ -205,6 +214,10 @@ def test_synthetic_system_validation():
         SyntheticSystem(order=1, memory=2, kernels=[0.0, np.zeros(3)])
     with pytest.raises(ValueError):
         SyntheticSystem(order=2, memory=2, factors=[np.ones((3, 1))])
+    for noise_std in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="noise_std"):
+            SyntheticSystem(order=1, memory=2, factors=[np.ones((3, 1))],
+                            noise_std=noise_std)
 
 
 def test_random_cpd_system_row_scale_masks_lags():

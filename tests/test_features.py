@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bayesvolterra import (
     build_lagged_matrix,
-    cpd_dot,
+    column_products,
     design_matrix,
     expected_gram,
     expected_output,
@@ -20,7 +20,14 @@ from bayesvolterra import (
     second_moments,
 )
 
+from _oracles import cpd_expand, monomial_vector
+
 MC_DRAWS = 100_000
+
+
+def expanded_output(factors, u):
+    """Model output at one window from the explicit Kronecker expansion."""
+    return float(monomial_vector(u, len(factors)) @ cpd_expand(factors))
 
 
 def random_psd(rng, size, scale=1.0):
@@ -96,7 +103,7 @@ def test_design_matrix_reproduces_model_output():
         G = design_matrix(U, means, mode)
         vec = means[mode].T.ravel()
         for n in range(12):
-            target = cpd_dot(means, U[:, n])
+            target = expanded_output(means, U[:, n])
             assert abs(float(vec @ G[:, n]) - target) < 1e-12 * (1.0 + abs(target))
 
 
@@ -203,13 +210,30 @@ def test_expected_gram_against_monte_carlo():
     assert_allclose(exact, mc, rtol=0.02, atol=0.02 * np.abs(exact).max())
 
 
-def test_expected_output_is_cpd_dot_per_column():
+def test_expected_output_matches_expansion_per_column():
     rng = np.random.default_rng(12)
     U = build_lagged_matrix(rng.standard_normal(9), 3)
     means = [rng.standard_normal((4, 2)) for _ in range(2)]
     out = expected_output(U, means)
     for n in range(9):
-        assert_allclose(out[n], cpd_dot(means, U[:, n]), rtol=1e-12)
+        assert_allclose(out[n], expanded_output(means, U[:, n]), rtol=1e-12)
+
+
+def test_column_products_skip_leaves_out_one_factor():
+    rng = np.random.default_rng(15)
+    U = build_lagged_matrix(rng.standard_normal(7), 3)
+    means = [rng.standard_normal((4, 2)) for _ in range(3)]
+    full = column_products(U, means)
+    assert full.shape == (2, 7)
+    assert_array_equal(full.sum(axis=0), expected_output(U, means))
+    for mode in range(3):
+        cofactor = column_products(U, means, skip=mode)
+        assert_allclose(cofactor * (means[mode].T @ U), full, rtol=1e-12)
+    assert_array_equal(column_products(U, means[:1], skip=0), np.ones((2, 7)))
+    with pytest.raises(ValueError):
+        column_products(U, means, skip=3)
+    with pytest.raises(ValueError):
+        column_products(U[1:], means)
 
 
 def test_expected_residual_trivial_cases():
@@ -236,7 +260,7 @@ def test_expected_residual_matches_per_sample_sum():
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
     moments = [second_moments(U, m, random_psd(rng, 6)) for m in means]
     prod = moments[0] * moments[1]
-    yhat = np.array([cpd_dot(means, U[:, n]) for n in range(8)])
+    yhat = np.array([expanded_output(means, U[:, n]) for n in range(8)])
     slow = float(y @ y) - 2.0 * float(y @ yhat)
     for n in range(8):
         slow += float(prod[:, :, n].sum())

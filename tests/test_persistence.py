@@ -141,3 +141,25 @@ def test_inconsistent_declared_shape_is_rejected(tmp_path):
     (directory / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError):
         load_model(directory)
+
+
+@pytest.mark.parametrize("group, part, value", [
+    ("noise", "rate", -1.0),
+    ("noise", "rate", 0.0),
+    ("noise", "shape", float("nan")),
+    ("noise", "rate", float("inf")),
+    ("col_prec", "shape", -2.0),
+    ("row_prec", "rate", 0.0),
+])
+def test_nonpositive_gamma_parameters_are_rejected(tmp_path, group, part, value):
+    directory = save_model(random_state(9), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    stored = manifest["posteriors"][group]
+    if isinstance(stored[part], list):
+        stored[part][0] = value
+    else:
+        stored[part] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"manifest.json: {group} {part}"):
+        load_model(directory)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from bayesvolterra import (
     FitConfig,
@@ -10,14 +11,13 @@ from bayesvolterra import (
     NormalizationRecord,
     StudentTPrediction,
     build_lagged_matrix,
-    cpd_dot,
-    denormalize_prediction,
     evaluate,
+    expected_output,
     identify,
     init_state,
     nll,
+    predict,
     predict_one,
-    predict_series,
     predictive_arrays,
     rmse,
 )
@@ -25,6 +25,14 @@ from bayesvolterra import (
 from _oracles import student_t_oracle, vb_linear_oracle
 
 GAUSS_CONST = 0.5 * np.log(2.0 * np.pi)
+
+
+def student_t_logpdf(y, loc, scale, dof):
+    """Hand-written Student-t log density."""
+    z = (y - loc) / scale
+    return (gammaln(0.5 * (dof + 1.0)) - gammaln(0.5 * dof)
+            - 0.5 * np.log(dof * np.pi) - np.log(scale)
+            - 0.5 * (dof + 1.0) * np.log1p(z * z / dof))
 
 
 def fitted_state(seed=0, n=150, memory=4, order=2, rank=2, sweeps=25):
@@ -62,10 +70,10 @@ def test_zero_model_predicts_the_noise_floor():
 
 def test_location_equals_model_output():
     state, U = fitted_state()
-    means = state.factor_means
+    outputs = expected_output(U, state.factor_means)
     for n in range(0, U.shape[1], 17):
         pred = predict_one(state, U[:, n])
-        target = cpd_dot(means, U[:, n])
+        target = outputs[n]
         assert abs(pred.location - target) <= 1e-14 * (1.0 + abs(target))
 
 
@@ -100,49 +108,60 @@ def test_predict_one_matches_conjugate_regression_oracle():
 def test_nll_gaussian_limit():
     dof = 1e6
     scale = float(np.sqrt((dof - 2.0) / dof))  # unit predictive variance
-    pred = StudentTPrediction(0.0, scale, dof)
-    value = nll([pred], np.array([0.0]))
+    value = nll(np.zeros(1), np.zeros(1), np.array([scale]), dof)
     assert abs(value - GAUSS_CONST) < 1e-3
 
 
 def test_nll_grows_with_scale_at_the_mode():
     y = np.zeros(1)
-    small = nll([StudentTPrediction(0.0, 1.0, 10.0)], y)
-    large = nll([StudentTPrediction(0.0, 1e3, 10.0)], y)
+    small = nll(y, y, np.array([1.0]), 10.0)
+    large = nll(y, y, np.array([1e3]), 10.0)
     assert large > small
     assert large > np.log(1e3)  # dominated by the log-scale term
 
 
 def test_rmse_examples():
     y = np.array([1.0, -2.0, 0.5])
-    exact = [StudentTPrediction(v, 1.0, 5.0) for v in y]
-    assert rmse(exact, y) == 0.0
-    offset = [StudentTPrediction(v + 0.3, 1.0, 5.0) for v in y]
-    assert_allclose(rmse(offset, y), 0.3, rtol=1e-12)
+    assert rmse(y, y) == 0.0
+    assert_allclose(rmse(y, y + 0.3), 0.3, rtol=1e-12)
     with pytest.raises(ValueError):
-        rmse(exact, np.zeros(2))
+        rmse(np.zeros(2), y)
 
 
-def test_predict_series_matches_predict_one():
+def test_nll_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        nll(np.zeros(2), np.zeros(3), np.ones(3), 5.0)
+
+
+def test_predictive_arrays_match_predict_one():
     # batched and one-column BLAS paths may differ in the last ulp
     state, U = fitted_state(seed=3, n=40)
-    series = predict_series(state, U[:, :10])
-    for n, pred in enumerate(series):
+    locations, scale_sq, dof = predictive_arrays(state, U[:, :10])
+    for n in range(10):
         single = predict_one(state, U[:, n])
-        assert pred.location == pytest.approx(single.location, rel=1e-12, abs=1e-15)
-        assert pred.scale == pytest.approx(single.scale, rel=1e-12)
-        assert pred.dof == single.dof
+        assert locations[n] == pytest.approx(single.location, rel=1e-12, abs=1e-15)
+        assert np.sqrt(scale_sq[n]) == pytest.approx(single.scale, rel=1e-12)
+        assert dof == single.dof
 
 
-def test_denormalize_prediction_maps_units():
-    record = NormalizationRecord(input_min=0.0, input_max=1.0,
-                                 output_mean=2.0, output_std=3.0)
-    pred = StudentTPrediction(0.5, 0.25, 10.0)
-    out = denormalize_prediction(pred, record)
-    assert out.location == 2.0 + 3.0 * 0.5
-    assert out.scale == 3.0 * 0.25
-    assert out.dof == 10.0
-    assert_allclose(out.variance, 9.0 * pred.variance, rtol=1e-14)
+def test_predict_maps_to_original_units():
+    state, _ = fitted_state(seed=6, n=60)
+    state.normalization = NormalizationRecord(input_min=-1.0, input_max=3.0,
+                                              output_mean=2.0, output_std=3.0)
+    u = np.random.default_rng(6).uniform(-1.0, 3.0, 60)
+    locations, scales, dof = predict(state, u, start=5)
+    assert locations.shape == scales.shape == (55,)
+    U = build_lagged_matrix((u + 1.0) / 4.0, state.memory)
+    model_loc, scale_sq, model_dof = predictive_arrays(state, U[:, 5:])
+    assert_allclose(locations, 2.0 + 3.0 * model_loc, rtol=1e-12)
+    assert_allclose(scales, 3.0 * np.sqrt(scale_sq), rtol=1e-12)
+    assert dof == model_dof
+    # the windows after `start` see the record before it
+    full_loc, full_scales, _ = predict(state, u)
+    assert_allclose(locations, full_loc[5:], rtol=1e-12)
+    assert_allclose(scales, full_scales[5:], rtol=1e-12)
+    with pytest.raises(ValueError):
+        predict(state, u, start=60)
 
 
 def test_evaluate_reports_original_units():
@@ -167,11 +186,14 @@ def test_evaluate_reports_original_units():
     assert_allclose(report.scales,
                     record.output_std * np.sqrt(scale_sq), rtol=1e-12)
     assert report.dof == dof
-    # metrics agree with the per-point helpers in raw units
-    preds = [StudentTPrediction(loc, s, dof)
-             for loc, s in zip(report.locations, report.scales)]
-    assert_allclose(report.rmse, rmse(preds, y_raw[150:]), rtol=1e-12)
-    assert_allclose(report.nll, nll(preds, y_raw[150:]), rtol=1e-12)
+    # metrics agree with the textbook formulas in raw units
+    y_val = y_raw[150:]
+    assert_allclose(report.rmse,
+                    np.sqrt(np.mean((report.locations - y_val) ** 2)), rtol=1e-12)
+    logpdf = student_t_logpdf(y_val, report.locations, report.scales, dof)
+    assert_allclose(report.nll, -np.mean(logpdf), rtol=1e-10)
+    assert_allclose(report.variances, dof / (dof - 2.0) * report.scales**2,
+                    rtol=1e-14)
 
 
 def test_evaluate_skip_drops_leading_samples():
@@ -187,3 +209,14 @@ def test_evaluate_skip_drops_leading_samples():
         evaluate(state, u, y, start=50)
     with pytest.raises(ValueError):
         evaluate(state, u, np.append(y, 0.0))
+
+
+def test_evaluate_rejects_non_finite_records():
+    rng = np.random.default_rng(7)
+    u = rng.uniform(0.0, 1.0, 30)
+    y = rng.standard_normal(30)
+    state, _ = fitted_state(seed=7, n=30, memory=4)
+    for bad_u, bad_y in ((u, np.where(np.arange(30) == 20, np.nan, y)),
+                         (np.where(np.arange(30) == 3, np.inf, u), y)):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(state, bad_u, bad_y)

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bayesvolterra import (
-    cpd_dot,
-    cpd_reconstruct,
-    hadamard,
-    khatri_rao,
-    kronecker,
-    vec_index,
-)
+from bayesvolterra import expected_output, khatri_rao
 from bayesvolterra.tensor_ops import check_factors
 
 from _oracles import cpd_expand, monomial_vector
@@ -23,55 +16,9 @@ def random_factors(rng, order, window, rank):
     return [rng.standard_normal((window, rank)) for _ in range(order)]
 
 
-def test_vec_index_examples():
-    assert vec_index((1, 1), (2, 3)) == 1
-    assert vec_index((2, 3), (2, 3)) == 6
-    assert vec_index((2, 1, 2), (3, 2, 2)) == 8
-
-
-def test_vec_index_is_a_bijection():
-    for dims in [(2, 3), (3, 2, 2), (4, 1, 5), (10, 10, 10)]:
-        total = int(np.prod(dims))
-        ranges = [range(1, d + 1) for d in dims]
-        seen = sorted(
-            vec_index(idx, dims) for idx in itertools.product(*ranges)
-        )
-        assert seen == list(range(1, total + 1))
-
-
-def test_vec_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        vec_index((0, 1), (2, 3))
-    with pytest.raises(ValueError):
-        vec_index((1, 4), (2, 3))
-    with pytest.raises(ValueError):
-        vec_index((1, 1, 1), (2, 3))
-
-
-def test_vec_index_matches_matrix_column_stacking():
-    # vec of an I x R matrix stacks columns: entry (i, r) lands at r*I + i
-    rng = np.random.default_rng(0)
-    mat = rng.standard_normal((4, 3))
-    vec = mat.T.ravel()
-    for i in range(4):
-        for r in range(3):
-            assert vec[vec_index((i + 1, r + 1), (4, 3)) - 1] == mat[i, r]
-
-
-def test_kronecker_examples():
-    assert_array_equal(kronecker([1, 2], [1, 0]), [1, 0, 2, 0])
-    x = np.array([3.0, -1.0, 2.0])
-    assert_array_equal(kronecker(x, [1.0]), x)
-    assert_array_equal(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kronecker_first_operand_is_slow():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal(3)
-    b = rng.standard_normal(4)
-    out = kronecker(a, b)
-    for i, ai in enumerate(a):
-        assert_allclose(out[i * 4 : (i + 1) * 4], ai * b)
+def contract(factors, u):
+    """The CPD contraction at one window, through the package's only path."""
+    return float(expected_output(np.reshape(u, (-1, 1)), factors)[0])
 
 
 def test_khatri_rao_examples():
@@ -87,7 +34,7 @@ def test_khatri_rao_columns_are_kronecker_products():
     b = rng.standard_normal((2, 3))
     out = khatri_rao(a, b)
     for j in range(3):
-        assert_array_equal(out[:, j], kronecker(a[:, j], b[:, j]))
+        assert_array_equal(out[:, j], np.kron(a[:, j], b[:, j]))
 
 
 def test_khatri_rao_rejects_column_mismatch():
@@ -95,17 +42,6 @@ def test_khatri_rao_rejects_column_mismatch():
         khatri_rao(np.ones((2, 3)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         khatri_rao(np.ones(3), np.ones((3, 1)))
-
-
-def test_hadamard_examples():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_array_equal(hadamard(a, np.ones_like(a)), a)
-    assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-    assert_array_equal(
-        hadamard(a, [[5.0, 6.0], [7.0, 8.0]]), [[5.0, 12.0], [21.0, 32.0]]
-    )
-    with pytest.raises(ValueError):
-        hadamard(a, np.ones((2, 3)))
 
 
 def test_check_factors_validates_shapes():
@@ -118,59 +54,6 @@ def test_check_factors_validates_shapes():
         check_factors([np.ones(3)])
 
 
-def test_cpd_reconstruct_examples():
-    out = cpd_reconstruct([np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])])
-    assert_array_equal(out, [0.0, 0.0, 1.0, 0.0])
-
-    rng = np.random.default_rng(3)
-    w1 = rng.standard_normal((3, 1))
-    w2 = rng.standard_normal((3, 1))
-    padded = [np.hstack([w1, np.zeros((3, 1))]), np.hstack([w2, np.zeros((3, 1))])]
-    assert_array_equal(cpd_reconstruct(padded), cpd_reconstruct([w1, w2]))
-
-
-def test_cpd_reconstruct_matches_expansion_oracle():
-    rng = np.random.default_rng(4)
-    factors = random_factors(rng, 3, 2, 2)
-    oracle = cpd_expand(factors)
-    assert_allclose(cpd_reconstruct(factors), oracle, rtol=1e-12, atol=1e-12)
-
-
-def test_cpd_reconstruct_refuses_huge_outputs():
-    factors = [np.zeros((101, 1))] * 3  # 101**3 > 1e6
-    with pytest.raises(ValueError):
-        cpd_reconstruct(factors)
-    # the bound is configurable
-    assert cpd_reconstruct([np.ones((2, 1))] * 2, max_size=4).size == 4
-    with pytest.raises(ValueError):
-        cpd_reconstruct([np.ones((2, 1))] * 2, max_size=3)
-
-
-def test_cpd_dot_examples():
-    zero = [np.zeros((4, 3)), np.zeros((4, 3))]
-    assert cpd_dot(zero, np.ones(4)) == 0.0
-
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((5, 1))
-    u = rng.standard_normal(5)
-    assert_allclose(cpd_dot([w], u), float(w[:, 0] @ u), rtol=1e-14)
-
-
-def test_cpd_dot_matches_reconstruction():
-    rng = np.random.default_rng(6)
-    factors = random_factors(rng, 3, 3, 2)
-    u = rng.standard_normal(3)
-    expected = monomial_vector(u, 3) @ cpd_reconstruct(factors)
-    assert_allclose(cpd_dot(factors, u), expected, rtol=1e-12)
-
-
-def test_cpd_dot_rejects_wrong_window_length():
-    rng = np.random.default_rng(7)
-    factors = random_factors(rng, 2, 4, 2)
-    with pytest.raises(ValueError):
-        cpd_dot(factors, np.ones(3))
-
-
 def test_contraction_identity_small_grid():
     rng = np.random.default_rng(8)
     for order, window, rank in itertools.product((1, 2, 3), repeat=3):
@@ -178,7 +61,7 @@ def test_contraction_identity_small_grid():
             factors = random_factors(rng, order, window, rank)
             u = rng.standard_normal(window)
             direct = monomial_vector(u, order) @ cpd_expand(factors)
-            fast = cpd_dot(factors, u)
+            fast = contract(factors, u)
             assert abs(fast - direct) / (1.0 + abs(direct)) < 1e-12
 
 
@@ -189,8 +72,6 @@ def test_cpd_scaling_invariance():
     scaled = [f.copy() for f in factors]
     scaled[0][:, 1] *= 7.5
     scaled[2][:, 1] /= 7.5
-    assert_allclose(
-        cpd_reconstruct(scaled), cpd_reconstruct(factors), rtol=1e-12, atol=1e-12
-    )
-    base = cpd_dot(factors, u)
-    assert abs(cpd_dot(scaled, u) - base) <= 1e-12 * (1.0 + abs(base))
+    assert_allclose(cpd_expand(scaled), cpd_expand(factors), rtol=1e-12, atol=1e-12)
+    base = contract(factors, u)
+    assert abs(contract(scaled, u) - base) <= 1e-12 * (1.0 + abs(base))
