@@ -34,8 +34,8 @@ TRACE_NAME = "trace.csv"
 
 
 def _number(label, kind, minimum, strict=False):
-    """Argument type for a `kind` (int or float) of at least `minimum`, or
-    above it when `strict`; NaN fails either comparison and is refused."""
+    """Argument type for a finite `kind` (int or float) of at least
+    `minimum`, or above it when `strict`; NaN fails either comparison."""
     noun = "an integer" if kind is int else "a number"
     if strict:
         rule = "positive" if minimum == 0 else f"greater than {minimum}"
@@ -49,6 +49,8 @@ def _number(label, kind, minimum, strict=False):
             raise argparse.ArgumentTypeError(f"{label} must be {noun}") from None
         if not (value > minimum if strict else value >= minimum):
             raise argparse.ArgumentTypeError(f"{label} must be {rule}")
+        if value == float("inf"):
+            raise argparse.ArgumentTypeError(f"{label} must be finite")
         return value
 
     return parse

@@ -142,8 +142,8 @@ class SyntheticSystem:
             raise ValueError("order must be at least 1")
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
         if (self.kernels is None) == (self.factors is None):
             raise ValueError("provide exactly one of kernels or factors")
         if self.kernels is not None:

@@ -2,8 +2,12 @@
 
 All updates are exact conjugate steps, so the evidence lower bound is
 non-decreasing across sweeps at fixed rank; the tests lean on that
-property heavily. Rank truncation runs once per sweep after the bound is
-recorded, so every trace entry describes a state of fixed rank.
+property heavily. The steps take the sweep's statistics as arguments:
+every factor update the (R, R, N) second-moment stacks of all modes, and
+the noise update and the bound only N and the expected residual
+E||y - G'w||^2, computed once per sweep. Rank truncation runs once per
+sweep after the bound is recorded, so every trace entry describes a state
+of fixed rank; it returns the kept columns, to which the stacks are sliced.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ class FitConfig:
             raise ValueError("rank must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.elbo_rel_tol > 0:
-            raise ValueError("elbo_rel_tol must be positive")
-        if not self.truncation_threshold > 0:
-            raise ValueError("truncation_threshold must be positive")
+        if not 0 < self.elbo_rel_tol < np.inf:
+            raise ValueError("elbo_rel_tol must be positive and finite")
+        if not 0 < self.truncation_threshold < np.inf:
+            raise ValueError("truncation_threshold must be positive and finite")
         if self.noise_update not in ("sweep", "final"):
             raise ValueError("noise_update must be 'sweep' or 'final'")
 
@@ -118,10 +122,6 @@ def _logdet_psd(matrix, label):
     return float(logdet)
 
 
-def _all_second_moments(state, U, uu=None):
-    return [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
-
-
 def _cross_weights(moments, skip, rank, n_samples):
     out = np.ones((rank, rank, n_samples))
     for k, stack in enumerate(moments):
@@ -131,24 +131,23 @@ def _cross_weights(moments, skip, rank, n_samples):
     return out
 
 
-def update_factor(state, U, y, mode, moments=None, uu=None):
+def update_factor(state, U, y, mode, moments, uu=None):
     """Exact Gaussian update of one factor given all other posteriors.
 
-    `moments` carries the second-moment stacks of every mode (the entry
-    for `mode` itself is unused); they are recomputed when omitted. The
-    new posterior is assigned into the state and returned.
+    `moments` carries the second-moment stacks of every mode from
+    second_moments (the entry for `mode` itself is unused). The new
+    posterior is assigned into the state and returned.
     """
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     window, n_samples = U.shape
     rank = state.rank
-    if moments is None:
-        moments = _all_second_moments(state, U, uu)
     weights = _cross_weights(moments, mode, rank, n_samples)
     gram = expected_gram(U, weights, uu=uu)
     gram = 0.5 * (gram + gram.T)
     tau = float(state.noise.mean)
-    precision = tau * gram + prior_precision(state)
+    precision = tau * gram
+    precision[np.diag_indices_from(precision)] += prior_precision(state)
     cov, prec_logdet = _solve_spd(precision, f"factor {mode}")
     cov = 0.5 * (cov + cov.T)
     # right-hand side E[G] y, with the design matrix at the current means
@@ -205,15 +204,12 @@ def update_col_precisions(state):
     return posterior
 
 
-def update_noise_precision(state, U, y, moments=None, uu=None):
-    """Gamma update of the noise precision from the expected residual."""
-    U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if moments is None:
-        moments = _all_second_moments(state, U, uu)
-    resid = expected_residual(U, y, state.factor_means, moments)
+def update_noise_precision(state, n_samples, resid):
+    """Gamma update of the noise precision from N and the expected residual
+    `resid` at the current factor posteriors: shape prior + N/2, rate
+    prior + resid/2 (a negative round-off residual counts as zero)."""
     posterior = GammaPosterior(
-        float(state.priors.noise_shape + 0.5 * y.size),
+        float(state.priors.noise_shape + 0.5 * n_samples),
         float(state.priors.noise_rate + 0.5 * max(resid, 0.0)),
     )
     state.noise = posterior
@@ -236,20 +232,18 @@ def _gamma_prior_and_entropy(posterior, prior_shape, prior_rate):
     return float(np.sum(expected_prior + entropy))
 
 
-def compute_elbo(state, U, y, moments=None, uu=None):
+def compute_elbo(state, n_samples, resid):
     """Evidence lower bound of the current posterior, in closed form.
 
-    Assembles the expected log-likelihood (via the expected residual and
-    E[ln tau]), the expected factor and Gamma log-priors, and the Gaussian
+    The data enter only through the sample count N and `resid`, the
+    expected residual E||y - G'w||^2 at the current factor posteriors, in
+    the expected log-likelihood N/2 (E[ln tau] - ln 2 pi) - E[tau] resid/2.
+    The rest is the expected factor and Gamma log-priors and the Gaussian
     and Gamma entropies. With row_prec_fixed the lag precisions are a
     constant 1 and contribute no Gamma terms.
     """
-    U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    window, n_samples = U.shape
+    window = state.window
     rank = state.rank
-    if moments is None:
-        moments = _all_second_moments(state, U, uu)
     col = np.asarray(state.col_prec.mean, dtype=float)
     col_log = np.asarray(state.col_prec.expected_log, dtype=float)
     if state.row_prec_fixed:
@@ -262,7 +256,6 @@ def compute_elbo(state, U, y, moments=None, uu=None):
     tau_log = float(digamma(state.noise.shape) - np.log(state.noise.rate))
     priors = state.priors
 
-    resid = expected_residual(U, y, state.factor_means, moments)
     bound = 0.5 * n_samples * (tau_log - LOG_2PI) - 0.5 * tau * resid
 
     sum_col_log = float(col_log.sum())
@@ -294,14 +287,13 @@ def truncate_rank(state, threshold):
     A column survives if its RMS, relative to the largest column RMS of
     the same factor, reaches the threshold in at least one factor. At
     least one column is always retained; matching column-precision entries
-    and covariance blocks are removed with the columns. Returns True when
-    the rank changed.
+    and covariance blocks are removed with the columns. Returns `keep`, the
+    sorted kept column indices, or None when the rank did not change; a
+    moment stack m of an old factor is m[np.ix_(keep, keep)] for the new.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     rank = state.rank
-    if rank == 1:
-        return False
     score = np.zeros(rank)
     for f in state.factors:
         rms = np.sqrt((f.mean**2).mean(axis=0))
@@ -312,7 +304,7 @@ def truncate_rank(state, threshold):
     if keep.size == 0:
         keep = np.array([int(score.argmax())])
     if keep.size == rank:
-        return False
+        return None
     window = state.window
     idx = (keep[:, None] * window + np.arange(window)[None, :]).ravel()
     state.factors = [
@@ -323,7 +315,7 @@ def truncate_rank(state, threshold):
         np.asarray(state.col_prec.shape, dtype=float)[keep].copy(),
         np.asarray(state.col_prec.rate, dtype=float)[keep].copy(),
     )
-    return True
+    return keep
 
 
 def identify(U, y, config, priors=None, normalization=None):
@@ -332,7 +324,8 @@ def identify(U, y, config, priors=None, normalization=None):
     U is the I x N lagged window matrix and y the length-N output in model
     units. Each sweep updates every factor, then the lag precisions
     (unless disabled), the column precisions, and the noise precision
-    (unless deferred), records the bound, and finally truncates the rank.
+    (unless deferred) and the bound from one expected residual, records the
+    bound, and finally truncates the rank, slicing the moment stacks.
     The loop stops when the relative bound change at fixed rank drops
     below elbo_rel_tol or max_iter is reached; one last noise update keeps
     the noise posterior consistent with the final factors.
@@ -357,29 +350,31 @@ def identify(U, y, config, priors=None, normalization=None):
         row_prec_fixed=not config.lag_sparsity,
     )
     uu = khatri_rao(U, U)
-    moments = _all_second_moments(state, U, uu)
+    moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
     trace = FitTrace()
     previous = None
     started = time.perf_counter()
     for sweep in range(1, config.max_iter + 1):
         try:
             for d in range(state.order):
-                posterior = update_factor(state, U, y, d, moments=moments, uu=uu)
+                posterior = update_factor(state, U, y, d, moments, uu=uu)
                 moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
             if config.lag_sparsity:
                 update_row_precisions(state)
             update_col_precisions(state)
+            resid = expected_residual(U, y, state.factor_means, moments)
             if config.noise_update == "sweep":
-                update_noise_precision(state, U, y, moments=moments, uu=uu)
-            bound = compute_elbo(state, U, y, moments=moments, uu=uu)
+                update_noise_precision(state, y.size, resid)
+            bound = compute_elbo(state, y.size, resid)
         except NumericFailure as err:
             err.iteration = sweep
             raise
         trace.append(sweep, bound, state.rank, float(state.noise.mean),
                      time.perf_counter() - started)
-        if truncate_rank(state, config.truncation_threshold):
-            # rank changed: refresh caches and restart the convergence window
-            moments = _all_second_moments(state, U, uu)
+        keep = truncate_rank(state, config.truncation_threshold)
+        if keep is not None:
+            # rank changed: slice the stacks and restart the convergence window
+            moments = [m[np.ix_(keep, keep)] for m in moments]
             previous = None
             continue
         if previous is not None and abs(bound - previous) < (
@@ -387,5 +382,6 @@ def identify(U, y, config, priors=None, normalization=None):
         ):
             break
         previous = bound
-    update_noise_precision(state, U, y, moments=moments, uu=uu)
+    update_noise_precision(state, y.size,
+                           expected_residual(U, y, state.factor_means, moments))
     return state, trace

@@ -171,11 +171,10 @@ def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
 
 
 def prior_precision(state):
-    """Expected prior precision of vec(W): diag(E[col]) kron diag(E[row]).
+    """Diagonal of the expected prior precision of vec(W), E[col] kron E[row].
 
-    Diagonal with entry r*I + i equal to E[lambda_r] * E[delta_i], matching
-    the row-fast vec layout.
+    A length R*I vector with entry r*I + i equal to E[lambda_r] * E[delta_i],
+    matching the row-fast vec layout; the off-diagonal entries are zero.
     """
     col = np.asarray(state.col_prec.mean, dtype=float)
-    row = state.row_prec_means()
-    return np.kron(np.diag(col), np.diag(row))
+    return np.kron(col, state.row_prec_means())

@@ -230,10 +230,13 @@ NUMBER_ERRORS = [
     ("identify", "--tol", "0", "tol must be positive"),
     ("identify", "--tol", "nan", "tol must be positive"),
     ("identify", "--truncate-tol", "nan", "truncate-tol must be positive"),
+    ("identify", "--tol", "inf", "tol must be finite"),
+    ("identify", "--truncate-tol", "inf", "truncate-tol must be finite"),
     ("identify", "--seeds", "zero", "seeds must be an integer"),
     ("identify", "--skip-warmup", "-1", "skip-warmup must be nonnegative"),
     ("evaluate", "--skip-warmup", "-2", "skip-warmup must be nonnegative"),
     ("simulate", "--noise-std", "nan", "noise-std must be nonnegative"),
+    ("simulate", "--noise-std", "inf", "noise-std must be finite"),
     ("simulate", "--noise-std", "-0.1", "noise-std must be nonnegative"),
     ("simulate", "--noise-std", "low", "noise-std must be a number"),
     ("simulate", "--n", "0", "n must be at least 1"),

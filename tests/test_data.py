@@ -214,7 +214,7 @@ def test_synthetic_system_validation():
         SyntheticSystem(order=1, memory=2, kernels=[0.0, np.zeros(3)])
     with pytest.raises(ValueError):
         SyntheticSystem(order=2, memory=2, factors=[np.ones((3, 1))])
-    for noise_std in (-0.1, float("nan")):
+    for noise_std in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise_std"):
             SyntheticSystem(order=1, memory=2, factors=[np.ones((3, 1))],
                             noise_std=noise_std)

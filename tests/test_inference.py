@@ -24,8 +24,10 @@ from bayesvolterra import (
     compute_elbo,
     evaluate,
     expected_output,
+    expected_residual,
     identify,
     init_state,
+    khatri_rao,
     second_moments,
     truncate_rank,
     update_col_precisions,
@@ -60,6 +62,28 @@ def scalar_state(mean, var, col_mean, row_mean, noise_mean, priors=None):
     )
 
 
+# The steps take the sweep's statistics as arguments; these helpers
+# recompute them from the state, as a test that moves one coordinate needs.
+def stacks(state, U):
+    return [second_moments(U, f.mean, f.cov) for f in state.factors]
+
+
+def residual(state, U, y):
+    return expected_residual(U, y, state.factor_means, stacks(state, U))
+
+
+def update(state, U, y, mode):
+    return update_factor(state, U, y, mode, stacks(state, U))
+
+
+def noise_update(state, U, y):
+    return update_noise_precision(state, y.size, residual(state, U, y))
+
+
+def elbo(state, U, y):
+    return compute_elbo(state, y.size, residual(state, U, y))
+
+
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(order=0)
@@ -71,6 +95,11 @@ def test_fit_config_validation():
         FitConfig(order=1, elbo_rel_tol=0.0)
     with pytest.raises(ValueError):
         FitConfig(order=1, truncation_threshold=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="elbo_rel_tol"):
+            FitConfig(order=1, elbo_rel_tol=bad)
+        with pytest.raises(ValueError, match="truncation_threshold"):
+            FitConfig(order=1, truncation_threshold=bad)
     with pytest.raises(ValueError):
         FitConfig(order=1, noise_update="never")
 
@@ -78,7 +107,7 @@ def test_fit_config_validation():
 def test_factor_update_zero_targets_give_zero_means():
     U, _ = regression_problem(0, n=50, memory=3)
     state = init_state(2, 3, 2, seed=0)
-    update_factor(state, U, np.zeros(50), 0)
+    update(state, U, np.zeros(50), 0)
     assert_array_equal(state.factors[0].mean, np.zeros((4, 2)))
 
 
@@ -86,8 +115,8 @@ def test_factor_covariance_ignores_targets():
     U, y = regression_problem(1, n=50, memory=3)
     state_a = init_state(2, 3, 2, seed=1)
     state_b = init_state(2, 3, 2, seed=1)
-    update_factor(state_a, U, y, 0)
-    update_factor(state_b, U, 2.0 * y - 1.0, 0)
+    update(state_a, U, y, 0)
+    update(state_b, U, 2.0 * y - 1.0, 0)
     assert_array_equal(state_a.factors[0].cov, state_b.factors[0].cov)
 
 
@@ -105,7 +134,7 @@ def test_factor_update_matches_ridge_regression():
     state.row_prec = GammaPosterior(dlt, np.ones(window))
     state.noise = GammaPosterior(tau, 1.0)
 
-    posterior = update_factor(state, U, y, 0)
+    posterior = update(state, U, y, 0)
     cov = np.linalg.inv(tau * (U @ U.T) + lam * np.diag(dlt))
     mean = tau * (cov @ (U @ y))
     assert_allclose(posterior.cov, cov, rtol=1e-10, atol=1e-12)
@@ -141,7 +170,7 @@ def test_factor_update_matches_brute_force_assembly():
     cov = np.linalg.inv(tau * gram + lam * np.diag(dlt))
     mean = tau * (cov @ rhs)
 
-    posterior = update_factor(state, U, y, 0)
+    posterior = update(state, U, y, 0)
     assert_allclose(posterior.cov, cov, rtol=1e-10)
     assert_allclose(posterior.mean[:, 0], mean, rtol=1e-10)
 
@@ -214,7 +243,7 @@ def test_col_precision_update_on_zero_factors():
 def test_noise_update_shape_increment():
     U, y = regression_problem(5, n=10, memory=2)
     state = init_state(1, 2, 1, seed=5)
-    posterior = update_noise_precision(state, U, y)
+    posterior = noise_update(state, U, y)
     assert posterior.shape == state.priors.noise_shape + 5.0
 
 
@@ -224,7 +253,7 @@ def test_noise_update_on_a_perfect_fit():
     state = init_state(1, 3, 1, seed=6)
     state.factors[0].cov[...] = 0.0
     y = expected_output(U, state.factor_means)
-    posterior = update_noise_precision(state, U, y)
+    posterior = noise_update(state, U, y)
     assert posterior.rate == pytest.approx(state.priors.noise_rate, abs=1e-10)
     assert posterior.mean > 1e6
 
@@ -232,30 +261,30 @@ def test_noise_update_on_a_perfect_fit():
 def test_elbo_is_invariant_on_an_unchanged_state():
     U, y = regression_problem(7, n=60, memory=3)
     state = init_state(2, 3, 2, seed=7)
-    update_factor(state, U, y, 0)
-    first = compute_elbo(state, U, y)
-    second = compute_elbo(state, U, y)
+    update(state, U, y, 0)
+    first = elbo(state, U, y)
+    second = elbo(state, U, y)
     assert first == second
 
 
 def test_elbo_rises_with_every_coordinate_update():
     U, y = regression_problem(8, n=80, memory=4, noise=0.2)
     state = init_state(2, 4, 3, seed=8)
-    bound = compute_elbo(state, U, y)
+    bound = elbo(state, U, y)
     for _ in range(3):
         for d in range(state.order):
-            update_factor(state, U, y, d)
+            update(state, U, y, d)
             bound = _assert_no_decrease(state, U, y, bound)
         update_row_precisions(state)
         bound = _assert_no_decrease(state, U, y, bound)
         update_col_precisions(state)
         bound = _assert_no_decrease(state, U, y, bound)
-        update_noise_precision(state, U, y)
+        noise_update(state, U, y)
         bound = _assert_no_decrease(state, U, y, bound)
 
 
 def _assert_no_decrease(state, U, y, previous):
-    bound = compute_elbo(state, U, y)
+    bound = elbo(state, U, y)
     assert bound >= previous - 1e-8 * (1.0 + abs(previous))
     return bound
 
@@ -270,11 +299,11 @@ def test_elbo_matches_quadrature_on_a_scalar_model():
     state = scalar_state(0.1, 1.0, col_mean=1.0, row_mean=1.0, noise_mean=1.0,
                          priors=priors)
     for _ in range(3):
-        update_factor(state, U, y, 0)
+        update(state, U, y, 0)
         update_row_precisions(state)
         update_col_precisions(state)
-        update_noise_precision(state, U, y)
-    bound = compute_elbo(state, U, y)
+        noise_update(state, U, y)
+    bound = elbo(state, U, y)
 
     def gamma_moments(posterior, index=None):
         a = float(np.asarray(posterior.shape).reshape(-1)[index or 0])
@@ -402,8 +431,7 @@ def test_truncation_drops_exact_zero_columns_without_moving_predictions():
         f.mean[:, 1] = 0.0
     U = build_lagged_matrix(np.random.default_rng(15).uniform(0.0, 1.0, 20), 3)
     before = expected_output(U, state.factor_means)
-    changed = truncate_rank(state, 1e-3)
-    assert changed
+    assert_array_equal(truncate_rank(state, 1e-3), [0, 2])
     assert state.rank == 2
     after = expected_output(U, state.factor_means)
     assert_array_equal(before, after)
@@ -413,7 +441,7 @@ def test_truncation_drops_exact_zero_columns_without_moving_predictions():
 def test_truncation_keeps_columns_above_threshold():
     state = init_state(2, 3, 3, seed=16)
     means = [f.mean.copy() for f in state.factors]
-    assert not truncate_rank(state, 1e-3)
+    assert truncate_rank(state, 1e-3) is None
     assert state.rank == 3
     for f, m in zip(state.factors, means):
         assert_array_equal(f.mean, m)
@@ -426,7 +454,7 @@ def test_truncation_uses_the_best_factor_for_each_column():
     state.factors[0].mean[:, 1] = 1e-9
     state.factors[1].mean[:, 0] = 1e-9
     state.factors[1].mean[:, 1] = 1.0
-    assert not truncate_rank(state, 1e-3)
+    assert truncate_rank(state, 1e-3) is None
 
     # negligible everywhere: dropped
     state = init_state(2, 2, 2, seed=17)
@@ -434,23 +462,75 @@ def test_truncation_uses_the_best_factor_for_each_column():
     state.factors[0].mean[:, 1] = 1e-9
     state.factors[1].mean[:, 0] = 2.0
     state.factors[1].mean[:, 1] = 1e-9
-    assert truncate_rank(state, 1e-3)
+    assert truncate_rank(state, 1e-3) is not None
     assert state.rank == 1
 
 
 def test_truncation_slices_covariances_consistently():
     U, y = regression_problem(18, n=40, memory=2)
     state = init_state(2, 2, 3, seed=18)
-    update_factor(state, U, y, 0)
+    update(state, U, y, 0)
     cov_full = state.factors[0].cov.copy()
     window = state.window
     for f in state.factors:
         f.mean[:, 0] = 0.0  # drop the first column
         f.mean[:, 1:] += 1.0
-    assert truncate_rank(state, 1e-3)
-    keep = np.array([1, 2])
+    keep = truncate_rank(state, 1e-3)
+    assert_array_equal(keep, [1, 2])
     idx = (keep[:, None] * window + np.arange(window)[None, :]).ravel()
     assert_array_equal(state.factors[0].cov, cov_full[np.ix_(idx, idx)])
+
+
+def test_truncation_slices_moment_stacks():
+    U, y = regression_problem(23, n=40, memory=2)
+    state = init_state(2, 2, 4, seed=23)
+    update(state, U, y, 0)
+    update(state, U, y, 1)
+    for f in state.factors:
+        f.mean[:, [0, 2]] *= 1e-6
+    before = stacks(state, U)
+    keep = truncate_rank(state, 1e-3)
+    assert_array_equal(keep, [1, 3])
+    for sliced, fresh in zip([m[np.ix_(keep, keep)] for m in before],
+                             stacks(state, U), strict=True):
+        assert_allclose(sliced, fresh, rtol=1e-12)
+
+
+def test_identify_matches_stepwise_updates():
+    # the public steps composed by hand, over sweeps where the rank drops
+    # twice (4, 4, 3, 3, 2, 2), reproduce identify bit for bit
+    u, y, _ = make_rank2_data(0, n=200)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=3, rank=4, max_iter=6, elbo_rel_tol=1e-300,
+                       truncation_threshold=0.05, seed=0)
+    fitted, trace = identify(U, y, config)
+
+    state = init_state(3, 4, 4, seed=0)
+    uu = khatri_rao(U, U)
+    moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
+    bounds, ranks = [], []
+    for _ in range(config.max_iter):
+        for d in range(state.order):
+            posterior = update_factor(state, U, y, d, moments, uu=uu)
+            moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
+        update_row_precisions(state)
+        update_col_precisions(state)
+        resid = expected_residual(U, y, state.factor_means, moments)
+        update_noise_precision(state, y.size, resid)
+        bounds.append(compute_elbo(state, y.size, resid))
+        ranks.append(state.rank)
+        keep = truncate_rank(state, config.truncation_threshold)
+        if keep is not None:
+            moments = [m[np.ix_(keep, keep)] for m in moments]
+    update_noise_precision(
+        state, y.size, expected_residual(U, y, state.factor_means, moments))
+
+    assert ranks == [4, 4, 3, 3, 2, 2]
+    assert trace.rank == ranks
+    assert trace.elbo == bounds
+    for f_fit, f_step in zip(fitted.factors, state.factors, strict=True):
+        assert_array_equal(f_fit.mean, f_step.mean)
+    assert fitted.noise == state.noise
 
 
 def test_truncation_always_retains_one_column():
@@ -459,7 +539,8 @@ def test_truncation_always_retains_one_column():
     state.factors[0].mean[:, 2] = 5.0
     state.factors[1].mean[:, :] = 1e-12
     state.factors[1].mean[:, 2] = 5.0
-    assert truncate_rank(state, 10.0)  # threshold above every relative score
+    # threshold above every relative score
+    assert_array_equal(truncate_rank(state, 10.0), [2])
     assert state.rank == 1
     assert_array_equal(state.factors[0].mean[:, 0], np.full(3, 5.0))
 
