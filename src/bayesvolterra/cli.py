@@ -111,7 +111,7 @@ def build_parser():
     p.add_argument("--truncate-tol", default=1e-3,
                    type=_number("truncate-tol", float, 0, strict=True),
                    help="relative column-RMS truncation threshold")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number("seed", int, 0), default=0)
     p.add_argument("--seeds", type=_number("seeds", int, 1), default=1,
                    help="run this many consecutive seeds and aggregate metrics")
     p.add_argument("--delta", choices=("on", "off"), default="on",
@@ -124,8 +124,6 @@ def build_parser():
                    "cover the remaining samples")
     p.add_argument("--skip-warmup", type=_number("skip-warmup", int, 0), default=0,
                    help="drop this many leading samples from the metrics")
-    p.add_argument("--noise-update", choices=("sweep", "final"), default="sweep",
-                   help="refresh the noise precision every sweep or once at the end")
     p.add_argument("--ordered-sums", action="store_true",
                    help="no effect, kept for old scripts: every fit is bitwise "
                    "reproducible at a fixed seed and BLAS thread count")
@@ -160,15 +158,13 @@ def build_parser():
     p.add_argument("--noise-std", type=_number("noise-std", float, 0), default=0.01,
                    help="output noise std; the clean output is scaled to std 1")
     p.add_argument("--n", type=_number("n", int, 1), default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number("seed", int, 0), default=0)
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", help="emit fit diagnostics from a model directory")
+    p = sub.add_parser("report", help="per-lag relevance profile of a model directory")
     p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--trace", type=Path, default=None,
-                   help="write the per-sweep CSV (iter,elbo,rank,e_tau) here")
-    p.add_argument("--delta-profile", type=Path, default=None,
+    p.add_argument("--delta-profile", required=True, type=Path,
                    help="write the per-lag relevance CSV (lag,e_delta,row_rms) here")
     p.set_defaults(func=_cmd_report)
 
@@ -211,7 +207,6 @@ def _cmd_identify(args):
             elbo_rel_tol=args.tol,
             truncation_threshold=args.truncate_tol,
             lag_sparsity=(args.delta == "on"),
-            noise_update=args.noise_update,
             seed=args.seed + k,
         )
         started = time.perf_counter()
@@ -306,32 +301,16 @@ def _cmd_simulate(args):
 
 
 def _cmd_report(args):
-    if args.trace is None and args.delta_profile is None:
-        print("error: report needs --trace and/or --delta-profile", file=sys.stderr)
-        return 2
-    if args.trace is not None:
-        source = args.model / TRACE_NAME
-        if not source.is_file():
-            raise BayesVolterraError(f"{source}: model was saved without a trace")
-        with source.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        with args.trace.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["iter", "elbo", "rank", "e_tau"])
-            for row in rows[1:]:
-                writer.writerow(row[:4])
-    if args.delta_profile is not None:
-        state = load_model(args.model)
-        e_delta = state.row_prec_means()
-        stacked = np.stack([f.mean for f in state.factors])
-        row_rms = np.sqrt((stacked**2).mean(axis=(0, 2)))
-        with args.delta_profile.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["lag", "e_delta", "row_rms"])
-            for i in range(state.window):
-                # the constant window entry is reported as lag -1
-                writer.writerow([i - 1, repr(float(e_delta[i])),
-                                 repr(float(row_rms[i]))])
+    state = load_model(args.model)
+    e_delta = state.row_prec_means()
+    stacked = np.stack([f.mean for f in state.factors])
+    row_rms = np.sqrt((stacked**2).mean(axis=(0, 2)))
+    with args.delta_profile.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lag", "e_delta", "row_rms"])
+        for i in range(state.window):
+            # the constant window entry is reported as lag -1
+            writer.writerow([i - 1, repr(float(e_delta[i])), repr(float(row_rms[i]))])
     return 0
 
 

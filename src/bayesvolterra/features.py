@@ -4,10 +4,11 @@ expectations.
 Every model output, design column and synthetic record comes from one
 contraction, column_products: the (R, N) stack of per-column products
 prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
-the inference loop spends its time; both accept a precomputed
-khatri_rao(U, U) so it is built once per fit. Each reduction over samples
-has one implementation, a dense product or sum; a fit repeats bit for bit
-at a fixed seed and BLAS thread count.
+the inference loop spends its time; both take khatri_rao(U, U), which the
+caller builds once per fit. The expected residual takes the product of
+all modes' moment stacks, which the caller forms. Each reduction over
+samples has one implementation, a dense product or sum; a fit repeats bit
+for bit at a fixed seed and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ def design_matrix(U, means, mode):
     return khatri_rao(column_products(U, means, skip=mode), U)
 
 
-def second_moments(U, mean, cov, uu=None):
+def second_moments(U, mean, cov, uu):
     """Projected second moments E[(W'u_n)(W'u_n)'] for one factor posterior.
 
     Returns an (R, R, N) stack whose slice [:, :, n] has (r, s) entry
     (m_r'u_n)(m_s'u_n) + u_n' C_{rs} u_n, where C_{rs} is the I x I block
-    of the covariance coupling columns r and s (column index slow).
+    of the covariance coupling columns r and s (column index slow). `uu`
+    is khatri_rao(U, U).
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -88,20 +90,19 @@ def second_moments(U, mean, cov, uu=None):
         raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
     proj = mean.T @ U
     out = proj[:, None, :] * proj[None, :, :]
-    if uu is None:
-        uu = khatri_rao(U, U)
     blocks = cov.reshape(rank, window, rank, window)
     flat = blocks.transpose(0, 2, 1, 3).reshape(rank * rank, window * window)
     out += (flat @ uu).reshape(rank, rank, U.shape[1])
     return out
 
 
-def expected_gram(U, weights, uu=None):
+def expected_gram(U, weights, uu):
     """Posterior expectation of the design-matrix Gram, E[G G'].
 
     `weights` is the (R, R, N) Hadamard product of the other modes' second
-    moments (all ones when there is no other mode); the result is
-    sum_n weights[:, :, n] kron u_n u_n', an (R*I, R*I) matrix.
+    moments (all ones when there is no other mode) and `uu` is
+    khatri_rao(U, U); the result is sum_n weights[:, :, n] kron u_n u_n',
+    an (R*I, R*I) matrix.
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -109,8 +110,6 @@ def expected_gram(U, weights, uu=None):
     window, n_samples = U.shape
     if weights.shape != (rank, rank, n_samples):
         raise ValueError(f"weights shape {weights.shape} inconsistent with U {U.shape}")
-    if uu is None:
-        uu = khatri_rao(U, U)
     flat = weights.reshape(rank * rank, n_samples) @ uu.T
     blocks = flat.reshape(rank, rank, window, window)
     return blocks.transpose(0, 2, 1, 3).reshape(rank * window, rank * window)
@@ -121,20 +120,15 @@ def expected_output(U, means):
     return column_products(U, means).sum(axis=0)
 
 
-def expected_residual(U, y, means, moments):
+def expected_residual(U, y, means, product):
     """E||y - G'w||^2 under the factor posteriors.
 
-    `means` are the factor means (for the cross term) and `moments` the
-    second-moment stacks of every mode from second_moments. The quadratic
-    term is the all-ones contraction of the Hadamard product across modes.
+    `means` are the factor means (for the cross term) and `product` the
+    (R, R, N) Hadamard product of every mode's second_moments stack, whose
+    all-ones contraction is the quadratic term.
     """
     y = np.asarray(y, dtype=float)
     yhat = expected_output(U, means)
     if y.shape != yhat.shape:
         raise ValueError(f"y has shape {y.shape}, expected {yhat.shape}")
-    prod = None
-    for stack in moments:
-        prod = np.asarray(stack, dtype=float) if prod is None else prod * stack
-    if prod is None:
-        raise ValueError("moments list is empty")
-    return float(y @ y - 2.0 * float(y @ yhat) + float(prod.sum()))
+    return float(y @ y - 2.0 * float(y @ yhat) + float(np.sum(product)))

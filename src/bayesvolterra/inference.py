@@ -2,12 +2,14 @@
 
 All updates are exact conjugate steps, so the evidence lower bound is
 non-decreasing across sweeps at fixed rank; the tests lean on that
-property heavily. The steps take the sweep's statistics as arguments:
-every factor update the (R, R, N) second-moment stacks of all modes, and
-the noise update and the bound only N and the expected residual
-E||y - G'w||^2, computed once per sweep. Rank truncation runs once per
-sweep after the bound is recorded, so every trace entry describes a state
-of fixed rank; it returns the kept columns, to which the stacks are sliced.
+property heavily. The steps take the sweep's statistics as arguments: a
+factor update the cross weights of its mode, the elementwise product of
+the other modes' (R, R, N) second-moment stacks, and the noise update
+and the bound only N and the expected residual E||y - G'w||^2. identify
+forms every product of stacks with one left fold, stack_product, and the
+residual once per sweep. Rank truncation runs once per sweep after the
+bound is recorded, so every trace entry describes a state of fixed rank;
+it returns the kept columns, to which the stacks are sliced.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class FitConfig:
     """Loop controls for identify.
 
-    noise_update selects when the noise precision is refreshed: "sweep"
-    (default, keeps every coordinate ascending so the bound is monotone)
-    or "final" (only after the loop). A fit repeats bit for bit at a fixed
-    seed and BLAS thread count; other thread counts may change the last
-    digits, because the reductions run through BLAS.
+    Every sweep refreshes the noise precision with the other coordinates,
+    so the bound is monotone at fixed rank. A fit repeats bit for bit at a
+    fixed seed and BLAS thread count; other thread counts may change the
+    last digits, because the reductions run through BLAS.
     """
 
     order: int
@@ -49,7 +50,6 @@ class FitConfig:
     elbo_rel_tol: float = 1e-6
     truncation_threshold: float = 1e-3
     lag_sparsity: bool = True
-    noise_update: str = "sweep"
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +63,8 @@ class FitConfig:
             raise ValueError("elbo_rel_tol must be positive and finite")
         if not 0 < self.truncation_threshold < np.inf:
             raise ValueError("truncation_threshold must be positive and finite")
-        if self.noise_update not in ("sweep", "final"):
-            raise ValueError("noise_update must be 'sweep' or 'final'")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -122,28 +122,29 @@ def _logdet_psd(matrix, label):
     return float(logdet)
 
 
-def _cross_weights(moments, skip, rank, n_samples):
-    out = np.ones((rank, rank, n_samples))
-    for k, stack in enumerate(moments):
-        if k == skip:
-            continue
-        out = out * stack
-    return out
+def stack_product(stacks, rank, n_samples):
+    """Elementwise product of (R, R, N) second-moment stacks, folded left
+    to right; all ones when `stacks` is empty (a one-factor model)."""
+    if not stacks:
+        return np.ones((rank, rank, n_samples))
+    product = stacks[0]
+    for stack in stacks[1:]:
+        product = product * stack
+    return product
 
 
-def update_factor(state, U, y, mode, moments, uu=None):
+def update_factor(state, U, y, mode, weights, uu):
     """Exact Gaussian update of one factor given all other posteriors.
 
-    `moments` carries the second-moment stacks of every mode from
-    second_moments (the entry for `mode` itself is unused). The new
-    posterior is assigned into the state and returned.
+    `weights` are the cross weights of `mode`, the stack_product of the
+    other modes' second_moments stacks, and `uu` is khatri_rao(U, U). The
+    new posterior is assigned into the state and returned.
     """
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
-    window, n_samples = U.shape
+    window = U.shape[0]
     rank = state.rank
-    weights = _cross_weights(moments, mode, rank, n_samples)
-    gram = expected_gram(U, weights, uu=uu)
+    gram = expected_gram(U, weights, uu)
     gram = 0.5 * (gram + gram.T)
     tau = float(state.noise.mean)
     precision = tau * gram
@@ -323,9 +324,10 @@ def identify(U, y, config, priors=None, normalization=None):
 
     U is the I x N lagged window matrix and y the length-N output in model
     units. Each sweep updates every factor, then the lag precisions
-    (unless disabled), the column precisions, and the noise precision
-    (unless deferred) and the bound from one expected residual, records the
-    bound, and finally truncates the rank, slicing the moment stacks.
+    (unless disabled), the column precisions, and the noise precision and
+    the bound from one expected residual, records the bound, and finally
+    truncates the rank, slicing the moment stacks. The residual's product
+    of all D stacks is the last mode's cross weights times its new stack.
     The loop stops when the relative bound change at fixed rank drops
     below elbo_rel_tol or max_iter is reached; one last noise update keeps
     the noise posterior consistent with the final factors.
@@ -351,20 +353,30 @@ def identify(U, y, config, priors=None, normalization=None):
     )
     uu = khatri_rao(U, U)
     moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
+    last = state.order - 1
     trace = FitTrace()
     previous = None
     started = time.perf_counter()
     for sweep in range(1, config.max_iter + 1):
         try:
             for d in range(state.order):
-                posterior = update_factor(state, U, y, d, moments, uu=uu)
+                weights = stack_product(moments[:d] + moments[d + 1:],
+                                        state.rank, y.size)
+                posterior = update_factor(state, U, y, d, weights, uu)
+                # drop the spent stack, and the cross weights unless the
+                # residual needs them, before the new stack is built
+                moments[d] = None
+                if d < last:
+                    del weights
                 moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
+            # the last mode's cross weights times its new stack: all D modes
+            resid = expected_residual(U, y, state.factor_means,
+                                      weights * moments[last])
+            del weights
             if config.lag_sparsity:
                 update_row_precisions(state)
             update_col_precisions(state)
-            resid = expected_residual(U, y, state.factor_means, moments)
-            if config.noise_update == "sweep":
-                update_noise_precision(state, y.size, resid)
+            update_noise_precision(state, y.size, resid)
             bound = compute_elbo(state, y.size, resid)
         except NumericFailure as err:
             err.iteration = sweep
@@ -382,6 +394,7 @@ def identify(U, y, config, priors=None, normalization=None):
         ):
             break
         previous = bound
-    update_noise_precision(state, y.size,
-                           expected_residual(U, y, state.factor_means, moments))
+    resid = expected_residual(U, y, state.factor_means,
+                              stack_product(moments, state.rank, y.size))
+    update_noise_precision(state, y.size, resid)
     return state, trace

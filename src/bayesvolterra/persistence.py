@@ -101,7 +101,10 @@ def _read_blob(directory, entry):
             f"{path}: expected {expected} bytes for shape {list(shape)}, "
             f"found {len(raw)}"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(array).all():
+        raise ModelFormatError(f"{path}: non-finite value")
+    return array
 
 
 def load_model(directory):

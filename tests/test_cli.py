@@ -11,11 +11,9 @@ from numpy.testing import assert_array_equal
 from bayesvolterra import (
     Dataset,
     evaluate,
-    init_state,
     load_csv,
     load_model,
     save_csv,
-    save_model,
 )
 from bayesvolterra.cli import main
 
@@ -89,18 +87,18 @@ def test_predict_columns_equal_evaluate(pipeline):
 
 
 def test_report_trace_and_delta_profile(pipeline):
-    trace = pipeline.root / "trace.csv"
-    profile = pipeline.root / "profile.csv"
-    assert main(["report", "--model", str(pipeline.model),
-                 "--trace", str(trace), "--delta-profile", str(profile)]) == 0
-
-    with trace.open(newline="") as handle:
+    # the per-sweep trace is the model directory's trace.csv; report writes
+    # the per-lag profile
+    with (pipeline.model / "trace.csv").open(newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == ["iter", "elbo", "rank", "e_tau"]
+    assert rows[0] == ["iter", "elbo", "rank", "e_tau", "wall_s"]
     assert len(rows) > 2
     assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
-    assert all(len(r) == 4 for r in rows[1:])
+    assert all(len(r) == 5 for r in rows[1:])
 
+    profile = pipeline.root / "profile.csv"
+    assert main(["report", "--model", str(pipeline.model),
+                 "--delta-profile", str(profile)]) == 0
     with profile.open(newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["lag", "e_delta", "row_rms"]
@@ -109,18 +107,18 @@ def test_report_trace_and_delta_profile(pipeline):
     assert all(float(r[1]) > 0 for r in rows[1:])
 
 
-def test_report_requires_a_section_flag(pipeline, capsys):
-    assert main(["report", "--model", str(pipeline.model)]) == 2
-    assert "report needs" in capsys.readouterr().err
-
-
-def test_report_trace_needs_a_stored_trace(tmp_path, capsys):
-    directory = tmp_path / "bare"
-    save_model(init_state(1, 2, 1, seed=0), directory)
-    rc = main(["report", "--model", str(directory),
-               "--trace", str(tmp_path / "trace.csv")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+def test_report_requires_a_section_flag(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--model", str(pipeline.model)])
+    assert excinfo.value.code == 2
+    assert "--delta-profile" in capsys.readouterr().err
+    # the trace is the model directory's trace.csv, not a report section
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--model", str(pipeline.model),
+              "--trace", str(tmp_path / "trace.csv"),
+              "--delta-profile", str(tmp_path / "profile.csv")])
+    assert excinfo.value.code == 2
+    assert "--trace" in capsys.readouterr().err
 
 
 def test_delta_ablation_on_a_fading_memory_system(tmp_path):
@@ -233,6 +231,7 @@ NUMBER_ERRORS = [
     ("identify", "--tol", "inf", "tol must be finite"),
     ("identify", "--truncate-tol", "inf", "truncate-tol must be finite"),
     ("identify", "--seeds", "zero", "seeds must be an integer"),
+    ("identify", "--seed", "-1", "seed must be nonnegative"),
     ("identify", "--skip-warmup", "-1", "skip-warmup must be nonnegative"),
     ("evaluate", "--skip-warmup", "-2", "skip-warmup must be nonnegative"),
     ("simulate", "--noise-std", "nan", "noise-std must be nonnegative"),
@@ -240,6 +239,7 @@ NUMBER_ERRORS = [
     ("simulate", "--noise-std", "-0.1", "noise-std must be nonnegative"),
     ("simulate", "--noise-std", "low", "noise-std must be a number"),
     ("simulate", "--n", "0", "n must be at least 1"),
+    ("simulate", "--seed", "-2", "seed must be nonnegative"),
 ]
 
 

@@ -43,14 +43,6 @@ def sample_factor(rng, mean, cov, draws):
     return samples.reshape(draws, rank, window).transpose(0, 2, 1)
 
 
-def cross_weights(moments, skip):
-    out = np.ones_like(moments[0])
-    for k, stack in enumerate(moments):
-        if k != skip:
-            out = out * stack
-    return out
-
-
 def test_lagged_matrix_examples():
     assert_array_equal(build_lagged_matrix([5.0], 2), [[1.0], [5.0], [0.0]])
     assert_array_equal(build_lagged_matrix([1.0, 2.0], 1), [[1.0, 1.0], [1.0, 2.0]])
@@ -120,7 +112,7 @@ def test_second_moments_zero_covariance_is_plug_in():
     rng = np.random.default_rng(4)
     U = build_lagged_matrix(rng.standard_normal(9), 3)
     mean = rng.standard_normal((4, 2))
-    out = second_moments(U, mean, np.zeros((8, 8)))
+    out = second_moments(U, mean, np.zeros((8, 8)), khatri_rao(U, U))
     proj = mean.T @ U
     for n in range(9):
         assert_allclose(out[:, :, n], np.outer(proj[:, n], proj[:, n]), atol=1e-14)
@@ -130,7 +122,7 @@ def test_second_moments_identity_covariance_adds_window_norm():
     rng = np.random.default_rng(5)
     U = build_lagged_matrix(rng.standard_normal(7), 2)
     rank = 3
-    out = second_moments(U, np.zeros((3, rank)), np.eye(3 * rank))
+    out = second_moments(U, np.zeros((3, rank)), np.eye(3 * rank), khatri_rao(U, U))
     for n in range(7):
         norm = float(U[:, n] @ U[:, n])
         assert_allclose(out[:, :, n], norm * np.eye(rank), atol=1e-14)
@@ -141,7 +133,7 @@ def test_second_moments_against_monte_carlo():
     U = build_lagged_matrix(rng.standard_normal(4), 2)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6, scale=0.5)
-    exact = second_moments(U, mean, cov)
+    exact = second_moments(U, mean, cov, khatri_rao(U, U))
     draws = sample_factor(rng, mean, cov, MC_DRAWS)
     proj = np.einsum("kir,in->krn", draws, U)
     mc = np.einsum("krn,ksn->rsn", proj, proj) / MC_DRAWS
@@ -150,16 +142,17 @@ def test_second_moments_against_monte_carlo():
 
 def test_second_moments_shape_checks():
     U = np.ones((3, 5))
+    uu = khatri_rao(U, U)
     with pytest.raises(ValueError):
-        second_moments(U, np.ones((4, 2)), np.eye(8))
+        second_moments(U, np.ones((4, 2)), np.eye(8), uu)
     with pytest.raises(ValueError):
-        second_moments(U, np.ones((3, 2)), np.eye(5))
+        second_moments(U, np.ones((3, 2)), np.eye(5), uu)
 
 
 def test_expected_gram_single_factor_is_the_gram():
     rng = np.random.default_rng(7)
     U = build_lagged_matrix(rng.standard_normal(11), 3)
-    out = expected_gram(U, np.ones((1, 1, 11)))
+    out = expected_gram(U, np.ones((1, 1, 11)), khatri_rao(U, U))
     assert_allclose(out, U @ U.T, rtol=1e-12)
 
 
@@ -167,8 +160,9 @@ def test_expected_gram_zero_covariance_is_plug_in():
     rng = np.random.default_rng(8)
     U = build_lagged_matrix(rng.standard_normal(8), 2)
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
-    moments = [second_moments(U, m, np.zeros((6, 6))) for m in means]
-    gram = expected_gram(U, cross_weights(moments, 0))
+    uu = khatri_rao(U, U)
+    # the cross weights of mode 0 are the other mode's stack
+    gram = expected_gram(U, second_moments(U, means[1], np.zeros((6, 6)), uu), uu)
     G = design_matrix(U, means, 0)
     assert_allclose(gram, G @ G.T, rtol=1e-12, atol=1e-12)
 
@@ -180,7 +174,7 @@ def test_expected_gram_matches_per_sample_sum():
     slow = np.zeros((6, 6))
     for n in range(6):
         slow += np.kron(weights[:, :, n], np.outer(U[:, n], U[:, n]))
-    assert_allclose(expected_gram(U, weights), slow, rtol=1e-12)
+    assert_allclose(expected_gram(U, weights, khatri_rao(U, U)), slow, rtol=1e-12)
 
 
 def test_expected_gram_is_symmetric_psd():
@@ -188,8 +182,8 @@ def test_expected_gram_is_symmetric_psd():
     U = build_lagged_matrix(rng.standard_normal(15), 3)
     mean = rng.standard_normal((4, 2))
     cov = random_psd(rng, 8)
-    weights = second_moments(U, mean, cov)
-    gram = expected_gram(U, weights)
+    uu = khatri_rao(U, U)
+    gram = expected_gram(U, second_moments(U, mean, cov, uu), uu)
     assert_allclose(gram, gram.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     assert eigs.min() >= -1e-10 * np.abs(eigs).max()
@@ -200,7 +194,8 @@ def test_expected_gram_against_monte_carlo():
     U = build_lagged_matrix(rng.standard_normal(5), 1)
     mean2 = rng.standard_normal((2, 2))
     cov2 = random_psd(rng, 4, scale=0.5)
-    exact = expected_gram(U, second_moments(U, mean2, cov2))
+    uu = khatri_rao(U, U)
+    exact = expected_gram(U, second_moments(U, mean2, cov2, uu), uu)
     acc = np.zeros_like(exact)
     draws = sample_factor(rng, mean2, cov2, MC_DRAWS // 10)
     for w2 in draws:
@@ -241,14 +236,16 @@ def test_expected_residual_trivial_cases():
     U = build_lagged_matrix(rng.standard_normal(10), 2)
     y = rng.standard_normal(10)
     zero_means = [np.zeros((3, 2)) for _ in range(2)]
-    zero_moments = [second_moments(U, m, np.zeros((6, 6))) for m in zero_means]
+    uu = khatri_rao(U, U)
+    zero_moments = [second_moments(U, m, np.zeros((6, 6)), uu) for m in zero_means]
     assert_allclose(
-        expected_residual(U, y, zero_means, zero_moments), float(y @ y), rtol=1e-12
+        expected_residual(U, y, zero_means, zero_moments[0] * zero_moments[1]),
+        float(y @ y), rtol=1e-12
     )
 
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
-    moments = [second_moments(U, m, np.zeros((6, 6))) for m in means]
-    resid = expected_residual(U, y, means, moments)
+    moments = [second_moments(U, m, np.zeros((6, 6)), uu) for m in means]
+    resid = expected_residual(U, y, means, moments[0] * moments[1])
     direct = float(((y - expected_output(U, means)) ** 2).sum())
     assert_allclose(resid, direct, rtol=1e-10, atol=1e-10)
 
@@ -258,13 +255,14 @@ def test_expected_residual_matches_per_sample_sum():
     U = build_lagged_matrix(rng.standard_normal(8), 2)
     y = rng.standard_normal(8)
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
-    moments = [second_moments(U, m, random_psd(rng, 6)) for m in means]
+    uu = khatri_rao(U, U)
+    moments = [second_moments(U, m, random_psd(rng, 6), uu) for m in means]
     prod = moments[0] * moments[1]
     yhat = np.array([expanded_output(means, U[:, n]) for n in range(8)])
     slow = float(y @ y) - 2.0 * float(y @ yhat)
     for n in range(8):
         slow += float(prod[:, :, n].sum())
-    assert_allclose(expected_residual(U, y, means, moments), slow, rtol=1e-12)
+    assert_allclose(expected_residual(U, y, means, prod), slow, rtol=1e-12)
 
 
 def test_expected_residual_against_monte_carlo():
@@ -273,8 +271,9 @@ def test_expected_residual_against_monte_carlo():
     y = rng.standard_normal(5)
     means = [rng.standard_normal((2, 2)) for _ in range(2)]
     covs = [random_psd(rng, 4, scale=0.3) for _ in range(2)]
-    moments = [second_moments(U, m, c) for m, c in zip(means, covs)]
-    exact = expected_residual(U, y, means, moments)
+    uu = khatri_rao(U, U)
+    moments = [second_moments(U, m, c, uu) for m, c in zip(means, covs)]
+    exact = expected_residual(U, y, means, moments[0] * moments[1])
 
     total = 0.0
     draws = [sample_factor(rng, m, c, MC_DRAWS // 10) for m, c in zip(means, covs)]
@@ -286,11 +285,17 @@ def test_expected_residual_against_monte_carlo():
 
 
 def test_precomputed_khatri_rao_square_matches():
+    # with the khatri_rao(U, U) square, each stack entry is the explicit
+    # (m_r'u)(m_s'u) + u'C_rs u of one window
     rng = np.random.default_rng(16)
     U = build_lagged_matrix(rng.standard_normal(7), 2)
-    uu = khatri_rao(U, U)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6)
-    assert_array_equal(second_moments(U, mean, cov, uu), second_moments(U, mean, cov))
-    weights = second_moments(U, mean, cov)
-    assert_array_equal(expected_gram(U, weights, uu=uu), expected_gram(U, weights))
+    out = second_moments(U, mean, cov, khatri_rao(U, U))
+    for n in range(7):
+        u = U[:, n]
+        for r in range(2):
+            for s in range(2):
+                block = cov[3 * r:3 * r + 3, 3 * s:3 * s + 3]
+                direct = (mean[:, r] @ u) * (mean[:, s] @ u) + u @ block @ u
+                assert_allclose(out[r, s, n], direct, rtol=1e-12)

@@ -106,6 +106,18 @@ def test_truncated_blob_is_rejected(tmp_path):
         load_model(directory)
 
 
+@pytest.mark.parametrize("blob", ["factor0_mean.f64", "factor0_cov.f64"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_blob_is_rejected(tmp_path, blob, value):
+    directory = save_model(random_state(4), tmp_path / "model")
+    path = directory / blob
+    data = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    data[1] = value
+    path.write_bytes(data.tobytes())
+    with pytest.raises(ModelFormatError, match=f"{blob}: non-finite"):
+        load_model(directory)
+
+
 def test_missing_blob_is_rejected(tmp_path):
     directory = save_model(random_state(5), tmp_path / "model")
     (directory / "factor0_cov.f64").unlink()
