@@ -59,11 +59,9 @@ from .model import (
 from .persistence import load_manifest, load_model, save_model
 from .prediction import (
     EvalReport,
-    StudentTPrediction,
     evaluate,
     nll,
     predict,
-    predict_one,
     predictive_arrays,
     rmse,
 )

@@ -1,11 +1,14 @@
-"""CSV ingestion, splits, normalization, and the synthetic generator."""
+"""CSV ingestion, splits, normalization, and the synthetic generator.
+
+Synthetic systems are CPD factors only; their records come from the same
+window contraction as the model's output, features.expected_output.
+"""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -123,100 +126,49 @@ def standardize_output(y, record):
 
 @dataclass
 class SyntheticSystem:
-    """Ground-truth Volterra system in explicit-kernel or CPD form.
+    """Ground-truth Volterra system in CPD form.
 
-    Explicit form: kernels[p] is the order-p coefficient tensor with p
-    axes of length `memory` (lags 0..memory-1) and kernels[0] the scalar
-    offset. CPD form: `factors` are order matrices of shape
-    (memory+1, rank) acting on the constant-plus-lags window.
+    `factors` are order matrices of shape (memory+1, rank) acting on the
+    constant-plus-lags window; order and memory follow from their shapes.
     """
 
-    order: int
-    memory: int
-    kernels: Union[list, None] = None
-    factors: Union[list, None] = None
+    factors: list
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
+        check_factors(self.factors)
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be nonnegative and finite")
-        if (self.kernels is None) == (self.factors is None):
-            raise ValueError("provide exactly one of kernels or factors")
-        if self.kernels is not None:
-            if len(self.kernels) != self.order + 1:
-                raise ValueError(
-                    f"expected {self.order + 1} kernels (orders 0..{self.order})"
-                )
-            for p, kernel in enumerate(self.kernels):
-                if np.shape(kernel) != (self.memory,) * p:
-                    raise ValueError(
-                        f"order-{p} kernel has shape {np.shape(kernel)}, "
-                        f"expected {(self.memory,) * p}"
-                    )
-        else:
-            order, window, _ = check_factors(self.factors)
-            if order != self.order or window != self.memory + 1:
-                raise ValueError("factor shapes disagree with order/memory")
+
+    @property
+    def order(self):
+        return check_factors(self.factors)[0]
+
+    @property
+    def memory(self):
+        return check_factors(self.factors)[1] - 1
 
 
-def synthesize(system, u, seed=None, rng=None):
-    """Evaluate the system on u and add Gaussian noise.
-
-    Explicit kernels go through the direct nested summation (oracle-grade,
-    small memory/order only); CPD factors go through the window
-    contraction. Noise is reproducible via `seed` (or a caller-owned rng).
-    """
+def synthesize(system, u, rng=None):
+    """Evaluate the system on u through the window contraction and add
+    Gaussian noise drawn from the caller-owned `rng`."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("input signal must be a nonempty vector")
     if not np.isfinite(u).all():
         raise ValueError("input signal must be finite")
-    if system.factors is not None:
-        y = expected_output(build_lagged_matrix(u, system.memory), system.factors)
-    else:
-        if system.memory**system.order > 1_000_000:
-            raise ValueError(
-                f"nested summation over {system.memory**system.order} terms "
-                "exceeds the size bound"
-            )
-        # rows of lags 0..memory-1, zero-padded like the model's window
-        lags = build_lagged_matrix(u, system.memory)[1:]
-        y = np.full(u.size, float(np.asarray(system.kernels[0])))
-        for p in range(1, system.order + 1):
-            letters = "abcdefgh"[:p]
-            spec = ",".join([letters] + [f"{c}n" for c in letters]) + "->n"
-            y = y + np.einsum(spec, np.asarray(system.kernels[p], dtype=float),
-                              *([lags] * p))
+    y = expected_output(build_lagged_matrix(u, system.memory), system.factors)
     if system.noise_std > 0:
         if rng is None:
-            rng = np.random.default_rng(seed)
+            raise ValueError("a noisy system needs an rng")
         y = y + system.noise_std * rng.standard_normal(u.size)
     return Dataset(u, y.copy())
 
 
-def random_cpd_system(order, memory, rank, rng, row_scale=None, noise_std=0.0):
-    """Random CPD factors, rows optionally reweighted.
-
-    row_scale (length memory+1) multiplies window rows; zeros localize the
-    kernel support on a chosen set of lags.
-    """
-    window = memory + 1
-    if row_scale is not None:
-        row_scale = np.asarray(row_scale, dtype=float)
-        if row_scale.shape != (window,):
-            raise ValueError(f"row_scale must have length {window}")
-    factors = []
-    for _ in range(order):
-        fac = rng.standard_normal((window, rank))
-        if row_scale is not None:
-            fac = fac * row_scale[:, None]
-        factors.append(fac)
-    return SyntheticSystem(order=order, memory=memory, factors=factors,
-                           noise_std=noise_std)
+def random_cpd_system(order, memory, rank, rng, noise_std=0.0):
+    """Standard normal CPD factors, one (memory+1, rank) draw per order."""
+    factors = [rng.standard_normal((memory + 1, rank)) for _ in range(order)]
+    return SyntheticSystem(factors=factors, noise_std=noise_std)
 
 
 def calibrate_components(system, u, component_std=1.0):
@@ -225,8 +177,6 @@ def calibrate_components(system, u, component_std=1.0):
     Keeps component strengths comparable so none is drowned out; returns a
     new system with the same noise_std.
     """
-    if system.factors is None:
-        raise ValueError("calibration needs a CPD-form system")
     u = np.asarray(u, dtype=float)
     outputs = column_products(build_lagged_matrix(u, system.memory), system.factors)
     stds = outputs.std(axis=1)
@@ -234,8 +184,7 @@ def calibrate_components(system, u, component_std=1.0):
         raise ValueError("degenerate component: clean output is constant")
     gains = (component_std / stds) ** (1.0 / system.order)
     factors = [np.asarray(fac, dtype=float) * gains[None, :] for fac in system.factors]
-    return SyntheticSystem(order=system.order, memory=system.memory,
-                           factors=factors, noise_std=system.noise_std)
+    return SyntheticSystem(factors=factors, noise_std=system.noise_std)
 
 
 def center_output(system, u):
@@ -246,8 +195,6 @@ def center_output(system, u):
     unchanged; standardizing the output of data generated this way therefore
     does not introduce an extra rank-one constant component.
     """
-    if system.factors is None:
-        raise ValueError("centering needs a CPD-form system")
     u = np.asarray(u, dtype=float)
     U = build_lagged_matrix(u, system.memory)
     factors = [np.asarray(fac, dtype=float).copy() for fac in system.factors]
@@ -259,5 +206,4 @@ def center_output(system, u):
         raise ValueError("degenerate system: constant shift has no effect on "
                          "the mean output")
     factors[0][0, column] -= expected_output(U, factors).mean() / cofactor_means[column]
-    return SyntheticSystem(order=system.order, memory=system.memory,
-                           factors=factors, noise_std=system.noise_std)
+    return SyntheticSystem(factors=factors, noise_std=system.noise_std)

@@ -9,7 +9,8 @@ and the bound only N and the expected residual E||y - G'w||^2. identify
 forms every product of stacks with one left fold, stack_product, and the
 residual once per sweep. Rank truncation runs once per sweep after the
 bound is recorded, so every trace entry describes a state of fixed rank;
-it returns the kept columns, to which the stacks are sliced.
+it returns the kept columns, to which the stacks are sliced. Only a
+truncation in the last sweep calls for one more residual and noise update.
 """
 
 from __future__ import annotations
@@ -329,8 +330,9 @@ def identify(U, y, config, priors=None, normalization=None):
     truncates the rank, slicing the moment stacks. The residual's product
     of all D stacks is the last mode's cross weights times its new stack.
     The loop stops when the relative bound change at fixed rank drops
-    below elbo_rel_tol or max_iter is reached; one last noise update keeps
-    the noise posterior consistent with the final factors.
+    below elbo_rel_tol or max_iter is reached. Only when the last sweep
+    truncated is the noise posterior refreshed on the kept columns;
+    otherwise the last sweep's noise update already saw the final factors.
 
     Returns (ModelState, FitTrace). Numeric failures carry the sweep index.
     """
@@ -394,7 +396,9 @@ def identify(U, y, config, priors=None, normalization=None):
         ):
             break
         previous = bound
-    resid = expected_residual(U, y, state.factor_means,
-                              stack_product(moments, state.rank, y.size))
-    update_noise_precision(state, y.size, resid)
+    if keep is not None:
+        # the last sweep dropped columns after its noise update
+        resid = expected_residual(U, y, state.factor_means,
+                                  stack_product(moments, state.rank, y.size))
+        update_noise_precision(state, y.size, resid)
     return state, trace

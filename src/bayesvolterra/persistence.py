@@ -108,7 +108,12 @@ def _read_blob(directory, entry):
 
 
 def load_model(directory):
-    """Restore a ModelState from a model directory."""
+    """Restore a ModelState from a model directory.
+
+    Sizes below 1, non-positive Gamma parameters, non-finite blobs and
+    covariances that are not symmetric positive definite raise a
+    ModelFormatError naming the file.
+    """
     directory = Path(directory)
     manifest = load_manifest(directory)
     try:
@@ -132,6 +137,10 @@ def load_model(directory):
         row_prec_fixed = bool(manifest["row_prec_fixed"])
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
+    for name, value in (("order", order), ("memory", memory), ("rank", rank)):
+        if value < 1:
+            raise ModelFormatError(f"{directory / MANIFEST_NAME}: {name} must be "
+                                   "at least 1")
     for name, posterior in (("noise", noise), ("col_prec", col_prec),
                             ("row_prec", row_prec)):
         for part in ("shape", "rate"):
@@ -158,6 +167,14 @@ def load_model(directory):
                 f"{cov_name}: shape {list(cov.shape)} does not match "
                 f"window {window} x rank {rank}"
             )
+        if not np.array_equal(cov, cov.T):
+            raise ModelFormatError(f"{directory / cov_name}: covariance is not "
+                                   "symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ModelFormatError(f"{directory / cov_name}: covariance is not "
+                                   "positive definite") from None
         factors.append(FactorPosterior(mean=mean, cov=cov))
     if np.asarray(col_prec.shape).shape != (rank,):
         raise ModelFormatError(f"{directory}: col_prec length does not match rank")

@@ -1,9 +1,9 @@
 """Student-t predictive distributions and evaluation metrics, as arrays.
 
 predictive_arrays gives model-unit locations, squared scales and dof for a
-window matrix. predict is the whole path from a raw input record to
-original output units, and evaluate scores it with the array metrics rmse
-and nll. predict_one and StudentTPrediction cover a single lag window.
+window matrix; one window u_n is the column U[:, [n]]. predict is the
+whole path from a raw input record to original output units, and
+evaluate scores it with the array metrics rmse and nll.
 """
 
 from __future__ import annotations
@@ -15,33 +15,6 @@ from scipy import stats
 
 from .data import normalize_input
 from .features import build_lagged_matrix, design_matrix, expected_output
-
-
-@dataclass
-class StudentTPrediction:
-    """One predictive distribution: location, scale (> 0), degrees of freedom."""
-
-    location: float
-    scale: float
-    dof: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        if not self.dof > 0:
-            raise ValueError("dof must be positive")
-
-    @property
-    def variance(self):
-        """Predictive variance; NaN when dof <= 2."""
-        return float(_variance(self.scale, self.dof))
-
-
-def _variance(scales, dof):
-    """dof/(dof-2) * scale^2; NaN when the dof do not support a variance."""
-    if dof <= 2:
-        return np.full_like(scales, float("nan"))
-    return dof / (dof - 2.0) * np.square(scales)
 
 
 def predictive_arrays(state, U):
@@ -61,23 +34,17 @@ def predictive_arrays(state, U):
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 
-def predict_one(state, window):
-    """Predict from a single lag window (length I, leading 1), model units."""
-    window = np.asarray(window, dtype=float)
-    if window.shape != (state.window,):
-        raise ValueError(f"window has shape {window.shape}, expected ({state.window},)")
-    locations, scale_sq, dof = predictive_arrays(state, window.reshape(-1, 1))
-    return StudentTPrediction(float(locations[0]), float(np.sqrt(scale_sq[0])), dof)
-
-
 def predict(state, u, start=0):
     """Original-unit (locations, scales, dof) for the windows of u[start:].
 
     The raw input is normalized with the state's stored record and the
     windows are built from the whole record, so the windows after `start`
     see the true past; only those windows go through predictive_arrays.
+    A non-finite input raises ValueError.
     """
     u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("input record must be finite")
     if not 0 <= start < u.size:
         raise ValueError(f"nothing to predict: start {start} of {u.size} samples")
     record = state.normalization
@@ -124,21 +91,24 @@ def evaluate(state, u, y, start=0, skip=0):
 
     The windows of y[start + skip:] are scored by predict, so they see the
     true past of the input. `skip` exists to drop zero-padded warm-up
-    windows when the record has no usable history.
+    windows when the record has no usable history. The variances are
+    dof/(dof-2) scale^2, NaN when dof <= 2.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError("u and y must be one-dimensional and equally long")
-    if not (np.isfinite(u).all() and np.isfinite(y).all()):
-        raise ValueError("u and y must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("output record must be finite")
     locations, scales, dof = predict(state, u, start + skip)
     y = y[start + skip:]
+    variances = (dof / (dof - 2.0) * np.square(scales) if dof > 2
+                 else np.full_like(scales, float("nan")))
     return EvalReport(
         rmse=rmse(y, locations),
         nll=nll(y, locations, scales, dof),
         locations=locations,
-        variances=_variance(scales, dof),
+        variances=variances,
         scales=scales,
         dof=dof,
     )

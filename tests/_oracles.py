@@ -1,19 +1,25 @@
 """Shared generators and independent oracles used across the test suite.
 
 Everything here is deliberately written without the package's fast paths:
-Kronecker expansions are built column by column, the variational linear
-regression runs on plain numpy inverses, and the synthetic systems are
-assembled through the public generator API with fixed seeds. Tests compare
-the package against these references.
+Kronecker expansions are built column by column, explicit kernels are
+summed over lags directly, the variational linear regression runs on plain
+numpy inverses, and the synthetic systems and random model states are
+assembled through the public API with fixed seeds. Tests compare the
+package against these references.
 """
 
 import numpy as np
 
 from bayesvolterra import (
     FitConfig,
+    GammaPosterior,
+    NormalizationRecord,
+    PriorConfig,
+    SyntheticSystem,
     build_lagged_matrix,
     calibrate_components,
     identify,
+    init_state,
     random_cpd_system,
     synthesize,
 )
@@ -55,6 +61,24 @@ def cpd_kernels_order2(factors):
     linear = grid[0, 1:] + grid[1:, 0]
     quadratic = grid[1:, 1:].copy()
     return [constant, linear, quadratic]
+
+
+def nested_summation(kernels, u):
+    """Volterra output of explicit kernels by direct nested summation.
+
+    kernels[p] is the order-p coefficient tensor with p axes of length M
+    (lags 0..M-1) and kernels[0] the scalar offset; samples before the
+    start of the record count as zero, like the model's window.
+    """
+    u = np.asarray(u, dtype=float)
+    memory = np.shape(kernels[1])[0]
+    lags = np.array([np.concatenate([np.zeros(j), u])[: u.size] for j in range(memory)])
+    y = np.full(u.size, float(np.asarray(kernels[0])))
+    for p in range(1, len(kernels)):
+        letters = "abcdefgh"[:p]
+        spec = ",".join([letters] + [f"{c}n" for c in letters]) + "->n"
+        y = y + np.einsum(spec, np.asarray(kernels[p], dtype=float), *([lags] * p))
+    return y
 
 
 def vb_linear_oracle(U, y, sweeps, priors=(1e-6,) * 6):
@@ -119,6 +143,14 @@ def fading_row_scale(memory=10, active_lags=4):
     return scale
 
 
+def scale_rows(system, row_scale):
+    """The system with every factor's window rows multiplied by row_scale;
+    zeros localize the kernel support on a chosen set of lags."""
+    row_scale = np.asarray(row_scale, dtype=float)
+    return SyntheticSystem([fac * row_scale[:, None] for fac in system.factors],
+                           noise_std=system.noise_std)
+
+
 def make_rank2_data(seed, n=2000, memory=10, snr_db=20.0, row_scale=None):
     """Rank-2 quadratic system excited by uniform noise, at a fixed SNR.
 
@@ -128,7 +160,9 @@ def make_rank2_data(seed, n=2000, memory=10, snr_db=20.0, row_scale=None):
     """
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, n)
-    system = random_cpd_system(2, memory, 2, rng, row_scale=row_scale)
+    system = random_cpd_system(2, memory, 2, rng)
+    if row_scale is not None:
+        system = scale_rows(system, row_scale)
     system = calibrate_components(system, u, component_std=1.0)
     clean = synthesize(system, u).y
     sigma = float(clean.std()) * 10.0 ** (-snr_db / 20.0)
@@ -160,3 +194,36 @@ def fit_rank2(seed, max_iter=800, rank=10, elbo_rel_tol=1e-9):
     )
     state, trace = identify(build_lagged_matrix(u, 10), y, config)
     return state, trace, sigma
+
+
+def random_state(seed):
+    """A state with nothing left at its defaults, to exercise every field."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(1, 4))
+    memory = int(rng.integers(1, 6))
+    rank = int(rng.integers(1, 4))
+    state = init_state(
+        order,
+        memory,
+        rank,
+        priors=PriorConfig(noise_shape=2e-3, noise_rate=3e-3),
+        seed=seed,
+        normalization=NormalizationRecord(
+            input_min=-1.5, input_max=2.5, output_mean=0.25, output_std=1.75
+        ),
+        row_prec_fixed=bool(rng.integers(0, 2)),
+    )
+    window = memory + 1
+    for f in state.factors:
+        f.mean[...] = rng.standard_normal((window, rank))
+        root = rng.standard_normal((window * rank, window * rank))
+        f.cov[...] = root @ root.T + np.eye(window * rank)
+        f.cov_logdet = None
+    state.col_prec = GammaPosterior(
+        rng.uniform(0.5, 3.0, rank), rng.uniform(0.5, 3.0, rank)
+    )
+    state.row_prec = GammaPosterior(
+        rng.uniform(0.5, 3.0, window), rng.uniform(0.5, 3.0, window)
+    )
+    state.noise = GammaPosterior(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
+    return state

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,6 +282,21 @@ def test_integer_valued_float_split_is_a_count(pipeline, tmp_path):
     for split in ("800.0", "8e2"):
         for key in METRIC_KEYS - {"runtime_s"}:
             assert outputs[split][key] == outputs["800"][key]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_model_with_a_bad_covariance_is_an_error(pipeline, tmp_path, capsys, command):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline.model, model)
+    blob = model / "factor0_cov.f64"
+    size = int(np.sqrt(blob.stat().st_size // 8))
+    blob.write_bytes((-np.eye(size)).astype("<f8").tobytes())
+    out = tmp_path / "out"
+    rc = main([command, "--model", str(model), "--data", str(pipeline.data),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"{blob}: covariance is not positive definite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_data_file_reports_an_error(tmp_path, capsys):

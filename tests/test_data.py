@@ -22,7 +22,7 @@ from bayesvolterra import (
     synthesize,
 )
 
-from _oracles import cpd_expand, cpd_kernels_order2
+from _oracles import cpd_expand, cpd_kernels_order2, nested_summation, scale_rows
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -131,33 +131,29 @@ def test_normalization_rejects_constant_signals():
 
 
 def test_synthesize_linear_impulse():
-    system = SyntheticSystem(
-        order=1, memory=2, kernels=[0.0, np.array([3.0, 0.0])], noise_std=0.0
-    )
+    # window rows (constant, lag 0, lag 1): y(n) = 3 u(n)
+    system = SyntheticSystem([np.array([[0.0], [3.0], [0.0]])])
     u = np.array([1.0, -2.0, 0.5])
     dataset = synthesize(system, u)
     assert_allclose(dataset.y, 3.0 * u, rtol=1e-14)
+    assert_allclose(dataset.y, nested_summation([0.0, np.array([3.0, 0.0])], u),
+                    rtol=1e-14)
 
 
 def test_synthesize_includes_the_constant_kernel():
-    system = SyntheticSystem(
-        order=1, memory=2, kernels=[5.0, np.zeros(2)], noise_std=0.0
-    )
-    dataset = synthesize(system, np.array([1.0, 2.0, 3.0]))
+    system = SyntheticSystem([np.array([[5.0], [0.0], [0.0]])])
+    u = np.array([1.0, 2.0, 3.0])
+    dataset = synthesize(system, u)
     assert_array_equal(dataset.y, [5.0, 5.0, 5.0])
+    assert_array_equal(nested_summation([5.0, np.zeros(2)], u), dataset.y)
 
 
 def test_synthesize_cpd_matches_nested_summation():
     rng = np.random.default_rng(2)
     factors = [rng.standard_normal((4, 1)) for _ in range(2)]
     u = rng.uniform(0.0, 1.0, 40)
-    via_cpd = synthesize(
-        SyntheticSystem(order=2, memory=3, factors=factors), u
-    ).y
-    kernels = cpd_kernels_order2(factors)
-    via_kernels = synthesize(
-        SyntheticSystem(order=2, memory=3, kernels=kernels), u
-    ).y
+    via_cpd = synthesize(SyntheticSystem(factors), u).y
+    via_kernels = nested_summation(cpd_kernels_order2(factors), u)
     assert_allclose(via_cpd, via_kernels, rtol=1e-12, atol=1e-12)
 
 
@@ -166,64 +162,52 @@ def test_synthesize_is_the_model_output_without_noise():
     u = rng.uniform(0.0, 1.0, 80)
     system = random_cpd_system(3, 6, 2, rng)
     expected = expected_output(build_lagged_matrix(u, 6), system.factors)
-    assert_array_equal(synthesize(system, u, seed=0).y, expected)
+    assert_array_equal(synthesize(system, u).y, expected)
 
 
 def test_synthesize_cpd_rank2_matches_nested_summation():
     rng = np.random.default_rng(3)
     factors = [rng.standard_normal((5, 2)) for _ in range(2)]
     u = rng.uniform(-1.0, 1.0, 60)
-    via_cpd = synthesize(SyntheticSystem(order=2, memory=4, factors=factors), u).y
-    kernels = cpd_kernels_order2(factors)
-    via_kernels = synthesize(SyntheticSystem(order=2, memory=4, kernels=kernels), u).y
+    via_cpd = synthesize(SyntheticSystem(factors), u).y
+    via_kernels = nested_summation(cpd_kernels_order2(factors), u)
     assert_allclose(via_cpd, via_kernels, rtol=1e-12, atol=1e-12)
 
 
 def test_synthesize_noise_is_seed_reproducible():
     rng = np.random.default_rng(4)
     factors = [rng.standard_normal((3, 1))]
-    system = SyntheticSystem(order=1, memory=2, factors=factors, noise_std=0.5)
+    system = SyntheticSystem(factors, noise_std=0.5)
     u = rng.uniform(0.0, 1.0, 100)
-    a = synthesize(system, u, seed=11).y
-    b = synthesize(system, u, seed=11).y
-    c = synthesize(system, u, seed=12).y
+    a = synthesize(system, u, rng=np.random.default_rng(11)).y
+    b = synthesize(system, u, rng=np.random.default_rng(11)).y
+    c = synthesize(system, u, rng=np.random.default_rng(12)).y
     assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    clean = synthesize(SyntheticSystem(order=1, memory=2, factors=factors), u).y
+    clean = synthesize(SyntheticSystem(factors), u).y
     assert not np.array_equal(a, clean)
-
-
-def test_synthesize_refuses_oversized_nested_sums():
-    system = SyntheticSystem(
-        order=4, memory=32, kernels=[0.0] + [np.zeros((32,) * p) for p in range(1, 5)]
-    )
-    with pytest.raises(ValueError, match="size bound"):
-        synthesize(system, np.ones(10))
+    with pytest.raises(ValueError, match="rng"):
+        synthesize(system, u)
 
 
 def test_synthetic_system_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        SyntheticSystem(order=1, memory=2)
-    with pytest.raises(ValueError, match="exactly one"):
-        SyntheticSystem(
-            order=1, memory=2, kernels=[0.0, np.zeros(2)], factors=[np.ones((3, 1))]
-        )
-    with pytest.raises(ValueError):
-        SyntheticSystem(order=2, memory=2, kernels=[0.0, np.zeros(2)])
-    with pytest.raises(ValueError):
-        SyntheticSystem(order=1, memory=2, kernels=[0.0, np.zeros(3)])
-    with pytest.raises(ValueError):
-        SyntheticSystem(order=2, memory=2, factors=[np.ones((3, 1))])
+    system = SyntheticSystem([np.ones((4, 2)), np.ones((4, 2))])
+    assert (system.order, system.memory) == (2, 3)
+    with pytest.raises(ValueError, match="empty"):
+        SyntheticSystem([])
+    with pytest.raises(ValueError, match="differ"):
+        SyntheticSystem([np.ones((3, 1)), np.ones((4, 1))])
+    with pytest.raises(ValueError, match="matrices"):
+        SyntheticSystem([np.ones(3)])
     for noise_std in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise_std"):
-            SyntheticSystem(order=1, memory=2, factors=[np.ones((3, 1))],
-                            noise_std=noise_std)
+            SyntheticSystem([np.ones((3, 1))], noise_std=noise_std)
 
 
-def test_random_cpd_system_row_scale_masks_lags():
+def test_scale_rows_masks_lags():
     rng = np.random.default_rng(5)
     scale = np.array([1.0, 1.0, 0.0, 0.0])
-    system = random_cpd_system(2, 3, 2, rng, row_scale=scale)
+    system = scale_rows(random_cpd_system(2, 3, 2, rng), scale)
     for fac in system.factors:
         assert_array_equal(fac[2:], np.zeros((2, 2)))
         assert np.all(fac[:2] != 0.0)
@@ -249,7 +233,7 @@ def test_calibrate_components_rejects_degenerate_components():
     factors = [np.zeros((4, 1)), np.zeros((4, 1))]
     factors[0][0, 0] = 1.0  # constant-only component: zero output variance
     factors[1][0, 0] = 1.0
-    system = SyntheticSystem(order=2, memory=3, factors=factors)
+    system = SyntheticSystem(factors)
     with pytest.raises(ValueError, match="degenerate"):
         calibrate_components(system, u)
 
@@ -273,6 +257,6 @@ def test_center_output_rejects_a_flat_cofactor():
     # the second factor's projection averages zero, so no constant shift
     # in the first factor can move the mean output
     second = np.array([[-lag_mean], [1.0], [0.0]])
-    system = SyntheticSystem(order=2, memory=2, factors=[first, second])
+    system = SyntheticSystem([first, second])
     with pytest.raises(ValueError, match="degenerate"):
         center_output(system, u)

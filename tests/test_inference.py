@@ -35,6 +35,7 @@ from bayesvolterra import (
     update_noise_precision,
     update_row_precisions,
 )
+from bayesvolterra import inference
 from bayesvolterra.inference import stack_product
 
 from _oracles import make_rank2_data, vb_linear_oracle
@@ -506,15 +507,19 @@ def test_truncation_slices_moment_stacks():
     (2, 0.5, [4, 4, 3, 2, 2, 2]),
     (3, 0.05, [4, 4, 3, 3, 2, 2]),
     (4, 0.05, [4, 3, 2, 2, 2, 2]),
-], ids=["D=1", "D=2", "D=3", "D=4"])
+    (2, 0.5, [4, 4, 3]),
+], ids=["D=1", "D=2", "D=3", "D=4", "D=2-last-sweep-truncates"])
 def test_identify_matches_stepwise_updates(order, threshold, rank_path):
     # the public steps composed by hand reproduce identify bit for bit: at
     # D=1 the cross weights are all ones, at D=2 a single stack, above that
-    # longer folds; from D=2 on the rank drops, so sliced stacks are used
+    # longer folds; from D=2 on the rank drops, so sliced stacks are used,
+    # and the noise is refreshed after the loop only if the last sweep
+    # truncated, as in the last case
     u, y, _ = make_rank2_data(0, n=200)
     U = build_lagged_matrix(u, 4)
-    config = FitConfig(order=order, rank=4, max_iter=6, elbo_rel_tol=1e-300,
-                       truncation_threshold=threshold, seed=0)
+    config = FitConfig(order=order, rank=4, max_iter=len(rank_path),
+                       elbo_rel_tol=1e-300, truncation_threshold=threshold,
+                       seed=0)
     fitted, trace = identify(U, y, config)
 
     state = init_state(order, 4, 4, seed=0)
@@ -537,8 +542,9 @@ def test_identify_matches_stepwise_updates(order, threshold, rank_path):
         keep = truncate_rank(state, config.truncation_threshold)
         if keep is not None:
             moments = [m[np.ix_(keep, keep)] for m in moments]
-    update_noise_precision(state, y.size, expected_residual(
-        U, y, state.factor_means, stack_product(moments, state.rank, y.size)))
+    if keep is not None:
+        update_noise_precision(state, y.size, expected_residual(
+            U, y, state.factor_means, stack_product(moments, state.rank, y.size)))
 
     assert ranks == rank_path
     assert trace.rank == ranks
@@ -547,6 +553,50 @@ def test_identify_matches_stepwise_updates(order, threshold, rank_path):
         assert_array_equal(f_fit.mean, f_step.mean)
         assert_array_equal(f_fit.cov, f_step.cov)
     assert fitted.noise == state.noise
+
+
+def counting(monkeypatch, name):
+    """Record every result of the inference module's `name` during a fit."""
+    original = getattr(inference, name)
+    results = []
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(inference, name, wrapper)
+    return results
+
+
+def test_identify_keeps_the_last_sweeps_noise_posterior(monkeypatch):
+    # no truncation in the last sweep: one residual per sweep and no refresh
+    residuals = counting(monkeypatch, "expected_residual")
+    noise = counting(monkeypatch, "update_noise_precision")
+    u, y, _ = make_rank2_data(0, n=200)
+    config = FitConfig(order=2, rank=4, max_iter=6, elbo_rel_tol=1e-300,
+                       truncation_threshold=1e-12, seed=0)
+    state, trace = identify(build_lagged_matrix(u, 4), y, config)
+    assert trace.rank == [4] * 6 and state.rank == 4
+    assert len(residuals) == len(noise) == 6
+    assert state.noise is noise[-1]
+
+
+def test_identify_refreshes_the_noise_after_a_last_sweep_truncation():
+    u, y, _ = make_rank2_data(0, n=200)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=2, rank=4, max_iter=3, elbo_rel_tol=1e-300,
+                       truncation_threshold=0.5, seed=0)
+    state, trace = identify(U, y, config)
+    assert state.rank < trace.rank[-1]
+    moments = [second_moments(U, f.mean, f.cov, khatri_rao(U, U))
+               for f in state.factors]
+    resid = expected_residual(U, y, state.factor_means,
+                              stack_product(moments, state.rank, y.size))
+    fitted = state.noise
+    assert fitted.mean != trace.noise_mean[-1]
+    expected = update_noise_precision(state, y.size, resid)
+    assert fitted.shape == expected.shape
+    assert_allclose(fitted.rate, expected.rate, rtol=1e-12)
 
 
 def test_truncation_always_retains_one_column():
@@ -574,9 +624,7 @@ def test_identify_recovers_a_rank1_system_within_noise():
     from bayesvolterra import SyntheticSystem, calibrate_components, synthesize
 
     system = SyntheticSystem(
-        order=2, memory=memory,
-        factors=[rng.standard_normal((memory + 1, 1)) for _ in range(2)],
-    )
+        [rng.standard_normal((memory + 1, 1)) for _ in range(2)])
     system = calibrate_components(system, u, component_std=1.0)
     clean = synthesize(system, u).y
     sigma = float(clean.std()) * 0.1

@@ -7,49 +7,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from bayesvolterra import (
-    GammaPosterior,
     ModelFormatError,
-    NormalizationRecord,
-    PriorConfig,
-    init_state,
     load_manifest,
     load_model,
     predictive_arrays,
     save_model,
 )
 
-
-def random_state(seed):
-    """A state with nothing left at its defaults, to exercise every field."""
-    rng = np.random.default_rng(seed)
-    order = int(rng.integers(1, 4))
-    memory = int(rng.integers(1, 6))
-    rank = int(rng.integers(1, 4))
-    state = init_state(
-        order,
-        memory,
-        rank,
-        priors=PriorConfig(noise_shape=2e-3, noise_rate=3e-3),
-        seed=seed,
-        normalization=NormalizationRecord(
-            input_min=-1.5, input_max=2.5, output_mean=0.25, output_std=1.75
-        ),
-        row_prec_fixed=bool(rng.integers(0, 2)),
-    )
-    window = memory + 1
-    for f in state.factors:
-        f.mean[...] = rng.standard_normal((window, rank))
-        root = rng.standard_normal((window * rank, window * rank))
-        f.cov[...] = root @ root.T + np.eye(window * rank)
-        f.cov_logdet = None
-    state.col_prec = GammaPosterior(
-        rng.uniform(0.5, 3.0, rank), rng.uniform(0.5, 3.0, rank)
-    )
-    state.row_prec = GammaPosterior(
-        rng.uniform(0.5, 3.0, window), rng.uniform(0.5, 3.0, window)
-    )
-    state.noise = GammaPosterior(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
-    return state
+from _oracles import random_state
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -118,6 +83,22 @@ def test_nonfinite_blob_is_rejected(tmp_path, blob, value):
         load_model(directory)
 
 
+@pytest.mark.parametrize("damage", ["negative", "asymmetric"])
+def test_covariance_that_is_not_spd_is_rejected(tmp_path, damage):
+    state = random_state(4)
+    directory = save_model(state, tmp_path / "model")
+    cov = state.factors[0].cov.copy()
+    if damage == "negative":
+        cov = -np.eye(cov.shape[0])
+        message = "not positive definite"
+    else:
+        cov[0, -1] += 1e-9
+        message = "not symmetric"
+    (directory / "factor0_cov.f64").write_bytes(cov.astype("<f8").tobytes())
+    with pytest.raises(ModelFormatError, match=f"factor0_cov.f64: covariance is {message}"):
+        load_model(directory)
+
+
 def test_missing_blob_is_rejected(tmp_path):
     directory = save_model(random_state(5), tmp_path / "model")
     (directory / "factor0_cov.f64").unlink()
@@ -152,6 +133,18 @@ def test_inconsistent_declared_shape_is_rejected(tmp_path):
     manifest["rank"] = manifest["rank"] + 1
     (directory / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("key", ["order", "memory", "rank"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_manifest_sizes_below_one_are_rejected(tmp_path, key, value):
+    directory = save_model(random_state(8), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"manifest.json: {key} must be at least 1"):
         load_model(directory)
 
 

@@ -9,7 +9,6 @@ from bayesvolterra import (
     FitConfig,
     GammaPosterior,
     NormalizationRecord,
-    StudentTPrediction,
     build_lagged_matrix,
     evaluate,
     expected_output,
@@ -17,7 +16,6 @@ from bayesvolterra import (
     init_state,
     nll,
     predict,
-    predict_one,
     predictive_arrays,
     rmse,
 )
@@ -47,12 +45,25 @@ def fitted_state(seed=0, n=150, memory=4, order=2, rank=2, sweeps=25):
 
 
 def test_prediction_validation():
-    with pytest.raises(ValueError):
-        StudentTPrediction(0.0, 0.0, 3.0)
-    with pytest.raises(ValueError):
-        StudentTPrediction(0.0, 1.0, 0.0)
-    assert np.isnan(StudentTPrediction(0.0, 1.0, 2.0).variance)
-    assert StudentTPrediction(0.0, 2.0, 8.0).variance == pytest.approx(16.0 / 3.0)
+    state, _ = fitted_state(seed=8, n=30, memory=4)
+    u = np.random.default_rng(8).uniform(0.0, 1.0, 300)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            predict(state, np.where(np.arange(300) == 250, bad, u))
+    with pytest.raises(ValueError, match="nothing to predict"):
+        predict(state, u, start=300)
+
+
+def test_evaluate_variances_need_more_than_two_dof():
+    state = init_state(1, 2, 1, seed=0)
+    u = np.random.default_rng(0).uniform(0.0, 1.0, 10)
+    y = np.zeros(10)
+    state.noise = GammaPosterior(4.0, 6.0)
+    report = evaluate(state, u, y)
+    assert report.dof == 8.0
+    assert_allclose(report.variances, 8.0 / 6.0 * report.scales**2, rtol=1e-14)
+    state.noise = GammaPosterior(1.0, 6.0)
+    assert np.isnan(evaluate(state, u, y).variances).all()
 
 
 def test_zero_model_predicts_the_noise_floor():
@@ -61,20 +72,21 @@ def test_zero_model_predicts_the_noise_floor():
         f.mean[...] = 0.0
         f.cov[...] = 0.0
     state.noise = GammaPosterior(4.0, 6.0)
-    pred = predict_one(state, np.array([1.0, 0.3, 0.2, 0.1]))
-    assert pred.location == 0.0
-    assert pred.dof == 8.0
-    # variance = dof/(dof-2) * b_N/a_N with no parameter-uncertainty terms
-    assert_allclose(pred.variance, (8.0 / 6.0) * (6.0 / 4.0), rtol=1e-14)
+    window = np.array([1.0, 0.3, 0.2, 0.1])
+    locations, scale_sq, dof = predictive_arrays(state, window[:, None])
+    assert locations[0] == 0.0
+    assert dof == 8.0
+    # no parameter-uncertainty terms: the squared scale is b_N/a_N
+    assert_allclose(scale_sq[0], 6.0 / 4.0, rtol=1e-14)
 
 
 def test_location_equals_model_output():
     state, U = fitted_state()
     outputs = expected_output(U, state.factor_means)
     for n in range(0, U.shape[1], 17):
-        pred = predict_one(state, U[:, n])
+        locations, _, _ = predictive_arrays(state, U[:, [n]])
         target = outputs[n]
-        assert abs(pred.location - target) <= 1e-14 * (1.0 + abs(target))
+        assert abs(locations[0] - target) <= 1e-14 * (1.0 + abs(target))
 
 
 def test_variance_exceeds_the_noise_floor():
@@ -85,7 +97,7 @@ def test_variance_exceeds_the_noise_floor():
     assert dof == 2.0 * float(state.noise.shape)
 
 
-def test_predict_one_matches_conjugate_regression_oracle():
+def test_predictive_arrays_match_conjugate_regression_oracle():
     rng = np.random.default_rng(2)
     n, memory = 120, 3
     u = rng.uniform(0.0, 1.0, n)
@@ -98,11 +110,11 @@ def test_predict_one_matches_conjugate_regression_oracle():
     oracle = vb_linear_oracle(U, y, sweeps)
     for trial in range(5):
         window = np.concatenate([[1.0], rng.uniform(0.0, 1.0, memory)])
-        pred = predict_one(state, window)
+        locations, scale_sq, pred_dof = predictive_arrays(state, window[:, None])
         loc, scale, dof = student_t_oracle(window, oracle)
-        assert abs(pred.location - loc) <= 1e-10 * (1.0 + abs(loc))
-        assert abs(pred.scale - scale) <= 1e-10 * scale
-        assert abs(pred.dof - dof) <= 1e-10 * dof
+        assert abs(locations[0] - loc) <= 1e-10 * (1.0 + abs(loc))
+        assert abs(np.sqrt(scale_sq[0]) - scale) <= 1e-10 * scale
+        assert abs(pred_dof - dof) <= 1e-10 * dof
 
 
 def test_nll_gaussian_limit():
@@ -133,15 +145,15 @@ def test_nll_rejects_length_mismatch():
         nll(np.zeros(2), np.zeros(3), np.ones(3), 5.0)
 
 
-def test_predictive_arrays_match_predict_one():
+def test_predictive_arrays_batched_match_single_windows():
     # batched and one-column BLAS paths may differ in the last ulp
     state, U = fitted_state(seed=3, n=40)
     locations, scale_sq, dof = predictive_arrays(state, U[:, :10])
     for n in range(10):
-        single = predict_one(state, U[:, n])
-        assert locations[n] == pytest.approx(single.location, rel=1e-12, abs=1e-15)
-        assert np.sqrt(scale_sq[n]) == pytest.approx(single.scale, rel=1e-12)
-        assert dof == single.dof
+        location, single_sq, single_dof = predictive_arrays(state, U[:, [n]])
+        assert locations[n] == pytest.approx(location[0], rel=1e-12, abs=1e-15)
+        assert scale_sq[n] == pytest.approx(single_sq[0], rel=1e-12)
+        assert dof == single_dof
 
 
 def test_predict_maps_to_original_units():
