@@ -34,6 +34,8 @@ from .features import (
     expected_gram,
     expected_output,
     expected_residual,
+    kept_pairs,
+    moment_pairs,
     second_moments,
 )
 from .inference import (

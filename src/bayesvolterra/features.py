@@ -5,13 +5,18 @@ Every model output, design column and synthetic record comes from one
 contraction, column_products: the (R, N) stack of per-column products
 prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
 the inference loop spends its time; both take khatri_rao(U, U), which the
-caller builds once per fit. The expected residual takes the product of
-all modes' moment stacks, which the caller forms. Each reduction over
+caller builds once per fit. A second-moment stack is symmetric in its
+column pair (r, s), so it is stored packed: an (R(R+1)/2, N) array holding
+the pairs r <= s in moment_pairs order, and an elementwise product of
+packed stacks is the packed product. The expected residual takes the
+product of all modes' stacks, which the caller forms. Each reduction over
 samples has one implementation, a dense product or sum; a fit repeats bit
 for bit at a fixed seed and BLAS thread count.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,13 +77,43 @@ def design_matrix(U, means, mode):
     return khatri_rao(column_products(U, means, skip=mode), U)
 
 
+def moment_pairs(rank):
+    """The column pairs (r, s) of a packed moment stack, one per row.
+
+    Row p of a packed stack holds pair (r[p], s[p]): the upper triangle
+    r <= s of the symmetric R x R matrix, in np.triu_indices order (r
+    slow). Its R(R+1)/2 rows are the only layout the stacks have.
+    """
+    return np.triu_indices(rank)
+
+
+def kept_pairs(keep, rank):
+    """Boolean mask of the rows of a packed rank-`rank` stack whose columns
+    r and s are both in `keep`.
+
+    With `keep` sorted, as truncate_rank returns it, the selected rows are
+    the packed stack of the kept columns, in moment_pairs order.
+    """
+    r, s = moment_pairs(rank)
+    kept = np.zeros(rank, dtype=bool)
+    kept[keep] = True
+    return kept[r] & kept[s]
+
+
+def _packed_rank(rows):
+    """R such that a packed stack of R columns has `rows` rows, else None."""
+    rank = (math.isqrt(8 * rows + 1) - 1) // 2
+    return rank if rank * (rank + 1) // 2 == rows else None
+
+
 def second_moments(U, mean, cov, uu):
     """Projected second moments E[(W'u_n)(W'u_n)'] for one factor posterior.
 
-    Returns an (R, R, N) stack whose slice [:, :, n] has (r, s) entry
-    (m_r'u_n)(m_s'u_n) + u_n' C_{rs} u_n, where C_{rs} is the I x I block
-    of the covariance coupling columns r and s (column index slow). `uu`
-    is khatri_rao(U, U).
+    Returns the packed (R(R+1)/2, N) stack: row p, for the pair (r, s) =
+    moment_pairs(R)[p], has entry (m_r'u_n)(m_s'u_n) + u_n' C_{rs} u_n at
+    sample n, where C_{rs} is the I x I block of the covariance coupling
+    columns r and s (column index slow). Only the blocks with r <= s enter
+    the product with `uu`, which is khatri_rao(U, U).
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -88,30 +123,37 @@ def second_moments(U, mean, cov, uu):
         raise ValueError(f"window matrix has {U.shape[0]} rows, mean expects {window}")
     if cov.shape != (window * rank, window * rank):
         raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
+    r, s = moment_pairs(rank)
     proj = mean.T @ U
-    out = proj[:, None, :] * proj[None, :, :]
-    blocks = cov.reshape(rank, window, rank, window)
-    flat = blocks.transpose(0, 2, 1, 3).reshape(rank * rank, window * window)
-    out += (flat @ uu).reshape(rank, rank, U.shape[1])
+    out = proj[r] * proj[s]
+    # the (r, s) blocks with r <= s, one flattened block per packed row
+    blocks = cov.reshape(rank, window, rank, window)[r, :, s, :]
+    out += blocks.reshape(r.size, window * window) @ uu
     return out
 
 
 def expected_gram(U, weights, uu):
     """Posterior expectation of the design-matrix Gram, E[G G'].
 
-    `weights` is the (R, R, N) Hadamard product of the other modes' second
-    moments (all ones when there is no other mode) and `uu` is
-    khatri_rao(U, U); the result is sum_n weights[:, :, n] kron u_n u_n',
-    an (R*I, R*I) matrix.
+    `weights` is the packed (R(R+1)/2, N) elementwise product of the other
+    modes' second moments (all ones when there is no other mode) and `uu`
+    is khatri_rao(U, U); the result is sum_n W_n kron u_n u_n', an
+    (R*I, R*I) matrix, where W_n is the symmetric R x R matrix that
+    column n of `weights` packs. Each I x I block is formed once, for
+    r <= s, and placed at both (r, s) and (s, r).
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    rank = weights.shape[0]
     window, n_samples = U.shape
-    if weights.shape != (rank, rank, n_samples):
-        raise ValueError(f"weights shape {weights.shape} inconsistent with U {U.shape}")
-    flat = weights.reshape(rank * rank, n_samples) @ uu.T
-    blocks = flat.reshape(rank, rank, window, window)
+    rank = _packed_rank(weights.shape[0]) if weights.ndim == 2 else None
+    if rank is None or weights.shape[1] != n_samples:
+        raise ValueError(f"weights shape {weights.shape} is not a packed stack "
+                         f"for U {U.shape}")
+    flat = weights @ uu.T
+    r, s = moment_pairs(rank)
+    row = np.empty((rank, rank), dtype=np.intp)
+    row[r, s] = row[s, r] = np.arange(r.size)
+    blocks = flat.reshape(r.size, window, window)[row]
     return blocks.transpose(0, 2, 1, 3).reshape(rank * window, rank * window)
 
 
@@ -124,11 +166,19 @@ def expected_residual(U, y, means, product):
     """E||y - G'w||^2 under the factor posteriors.
 
     `means` are the factor means (for the cross term) and `product` the
-    (R, R, N) Hadamard product of every mode's second_moments stack, whose
-    all-ones contraction is the quadratic term.
+    packed (R(R+1)/2, N) elementwise product of every mode's
+    second_moments stack. The quadratic term is the sum of the full
+    symmetric R x R stack: twice the sum of the packed rows, less that of
+    the diagonal rows, which doubling counts twice.
     """
     y = np.asarray(y, dtype=float)
     yhat = expected_output(U, means)
     if y.shape != yhat.shape:
         raise ValueError(f"y has shape {y.shape}, expected {yhat.shape}")
-    return float(y @ y - 2.0 * float(y @ yhat) + float(np.sum(product)))
+    r, s = moment_pairs(np.shape(means[0])[1])
+    product = np.asarray(product, dtype=float)
+    if product.shape != (r.size, yhat.size):
+        raise ValueError(f"product shape {product.shape} is not a packed stack "
+                         f"of {r.size} rows and {yhat.size} samples")
+    quadratic = 2.0 * float(np.sum(product)) - float(np.sum(product[r == s]))
+    return float(y @ y - 2.0 * float(y @ yhat) + quadratic)

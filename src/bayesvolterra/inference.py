@@ -4,13 +4,16 @@ All updates are exact conjugate steps, so the evidence lower bound is
 non-decreasing across sweeps at fixed rank; the tests lean on that
 property heavily. The steps take the sweep's statistics as arguments: a
 factor update the cross weights of its mode, the elementwise product of
-the other modes' (R, R, N) second-moment stacks, and the noise update
-and the bound only N and the expected residual E||y - G'w||^2. identify
-forms every product of stacks with one left fold, stack_product, and the
-residual once per sweep. Rank truncation runs once per sweep after the
-bound is recorded, so every trace entry describes a state of fixed rank;
-it returns the kept columns, to which the stacks are sliced. Only a
-truncation in the last sweep calls for one more residual and noise update.
+the other modes' packed (R(R+1)/2, N) second-moment stacks, and the noise
+update and the bound only N and the expected residual E||y - G'w||^2.
+identify forms every product of stacks with one left fold, stack_product,
+and the residual once per sweep. Rank truncation runs once per sweep after
+the bound is recorded, so every trace entry describes a state of fixed
+rank; it returns the kept columns, to whose pairs the stacks are sliced.
+Only a truncation in the last sweep calls for one more residual and noise
+update.
+A factor update factors its precision once: two triangular solves give the
+mean, and LAPACK dpotri the covariance.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 from scipy.special import digamma, gammaln
 
 from .errors import NumericFailure
@@ -27,7 +31,9 @@ from .features import (
     column_products,
     expected_gram,
     expected_residual,
+    kept_pairs,
     khatri_rao,
+    moment_pairs,
     second_moments,
 )
 from .model import FactorPosterior, GammaPosterior, init_state, prior_precision
@@ -93,27 +99,49 @@ class FitTrace:
         return self.elbo[-1]
 
 
-def _solve_spd(matrix, label):
-    """Invert a symmetric PD matrix via Cholesky; returns (inverse, logdet).
+def _solve_spd(matrix, rhs, label):
+    """Solve with a symmetric PD matrix via one Cholesky factor.
 
-    One jitter retry (1e-10 times the mean diagonal magnitude) before
-    giving up with a NumericFailure.
+    Returns (inverse, solution, logdet): the inverse from LAPACK dpotri,
+    exactly symmetric; matrix^-1 rhs from two triangular solves; and
+    log det(matrix). One jitter retry (1e-10 times the mean diagonal
+    magnitude) before giving up with a NumericFailure.
     """
     size = matrix.shape[0]
-    eye = np.eye(size)
     try:
         factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError:
         jitter = 1e-10 * float(np.trace(matrix)) / size
+        shifted = matrix.copy()
+        shifted[np.diag_indices(size)] += jitter
         try:
-            factor = cho_factor(matrix + jitter * eye, lower=True)
+            factor = cho_factor(shifted, lower=True)
         except np.linalg.LinAlgError as err:
             raise NumericFailure(
                 f"{label}: Cholesky failed twice (jitter {jitter:.3e})"
             ) from err
-    inverse = cho_solve(factor, eye)
     logdet = 2.0 * float(np.log(np.diag(factor[0])).sum())
-    return inverse, logdet
+    solution = cho_solve(factor, rhs, check_finite=False)
+    inverse, info = dpotri(factor[0], lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericFailure(f"{label}: dpotri failed on the Cholesky factor "
+                             f"(info {info})")
+    _mirror_lower(inverse)
+    # exactly symmetric, so the transpose is the same matrix; it turns
+    # dpotri's Fortran-order array into a C-order view without a copy
+    return inverse.T, solution, logdet
+
+
+def _mirror_lower(matrix):
+    """Copy the strict lower triangle onto the upper one, in place, in bands
+    of 256 rows, so no index array grows with the square of the size."""
+    size = matrix.shape[0]
+    for start in range(0, size, 256):
+        stop = min(start + 256, size)
+        diagonal = matrix[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        diagonal[upper] = diagonal.T[upper]
+        matrix[start:stop, stop:] = matrix[stop:, start:stop].T
 
 
 def _logdet_psd(matrix, label):
@@ -124,10 +152,12 @@ def _logdet_psd(matrix, label):
 
 
 def stack_product(stacks, rank, n_samples):
-    """Elementwise product of (R, R, N) second-moment stacks, folded left
-    to right; all ones when `stacks` is empty (a one-factor model)."""
+    """Elementwise product of packed (R(R+1)/2, N) second-moment stacks,
+    folded left to right; all ones of that shape when `stacks` is empty
+    (a one-factor model). The product of packed stacks is the packed
+    product, because the R x R stacks multiply entry by entry."""
     if not stacks:
-        return np.ones((rank, rank, n_samples))
+        return np.ones((moment_pairs(rank)[0].size, n_samples))
     product = stacks[0]
     for stack in stacks[1:]:
         product = product * stack
@@ -150,12 +180,10 @@ def update_factor(state, U, y, mode, weights, uu):
     tau = float(state.noise.mean)
     precision = tau * gram
     precision[np.diag_indices_from(precision)] += prior_precision(state)
-    cov, prec_logdet = _solve_spd(precision, f"factor {mode}")
-    cov = 0.5 * (cov + cov.T)
     # right-hand side E[G] y, with the design matrix at the current means
     h = column_products(U, state.factor_means, skip=mode)
     rhs = ((h * y) @ U.T).ravel()
-    vec_mean = tau * (cov @ rhs)
+    cov, vec_mean, prec_logdet = _solve_spd(precision, tau * rhs, f"factor {mode}")
     if not np.isfinite(vec_mean).all():
         raise NumericFailure(f"factor {mode}: posterior mean is not finite")
     posterior = FactorPosterior(
@@ -291,7 +319,8 @@ def truncate_rank(state, threshold):
     least one column is always retained; matching column-precision entries
     and covariance blocks are removed with the columns. Returns `keep`, the
     sorted kept column indices, or None when the rank did not change; a
-    moment stack m of an old factor is m[np.ix_(keep, keep)] for the new.
+    packed moment stack m of an old factor is m[kept_pairs(keep, R)] for
+    the new, R being the old rank.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -385,10 +414,12 @@ def identify(U, y, config, priors=None, normalization=None):
             raise
         trace.append(sweep, bound, state.rank, float(state.noise.mean),
                      time.perf_counter() - started)
+        rank = state.rank
         keep = truncate_rank(state, config.truncation_threshold)
         if keep is not None:
             # rank changed: slice the stacks and restart the convergence window
-            moments = [m[np.ix_(keep, keep)] for m in moments]
+            rows = kept_pairs(keep, rank)
+            moments = [m[rows] for m in moments]
             previous = None
             continue
         if previous is not None and abs(bound - previous) < (

@@ -89,11 +89,30 @@ def load_manifest(directory):
     return manifest
 
 
+def _size(manifest_path, name, value):
+    """A size stored in the manifest: a JSON integer of at least 1.
+
+    Fractions, booleans and strings are refused rather than converted, so
+    a damaged manifest cannot load as a model of another size.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{manifest_path}: {name} must be an integer, "
+                               f"got {value!r}")
+    if value < 1:
+        raise ModelFormatError(f"{manifest_path}: {name} must be at least 1")
+    return value
+
+
 def _read_blob(directory, entry):
     path = Path(directory) / entry["file"]
     if not path.is_file():
         raise ModelFormatError(f"{path}: blob missing")
-    shape = tuple(int(s) for s in entry["shape"])
+    manifest_path = Path(directory) / MANIFEST_NAME
+    name = f"blob {entry['file']} shape"
+    shape = entry.get("shape")
+    if not isinstance(shape, list):
+        raise ModelFormatError(f"{manifest_path}: {name} must be a list, got {shape!r}")
+    shape = tuple(_size(manifest_path, f"{name} entry", s) for s in shape)
     expected = int(np.prod(shape)) * 8
     raw = path.read_bytes()
     if len(raw) != expected:
@@ -110,16 +129,17 @@ def _read_blob(directory, entry):
 def load_model(directory):
     """Restore a ModelState from a model directory.
 
-    Sizes below 1, non-positive Gamma parameters, non-finite blobs and
-    covariances that are not symmetric positive definite raise a
-    ModelFormatError naming the file.
+    Sizes and blob shape entries that are not integers of at least 1,
+    non-positive Gamma parameters, non-finite blobs and covariances that
+    are not symmetric positive definite raise a ModelFormatError naming
+    the file.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
+    manifest_path = directory / MANIFEST_NAME
     try:
-        order = int(manifest["order"])
-        memory = int(manifest["memory"])
-        rank = int(manifest["rank"])
+        order, memory, rank = (_size(manifest_path, name, manifest[name])
+                               for name in ("order", "memory", "rank"))
         blobs = {entry["file"]: entry for entry in manifest["blobs"]}
         priors = PriorConfig(**manifest["priors"])
         normalization = NormalizationRecord(**manifest["normalization"])
@@ -137,16 +157,12 @@ def load_model(directory):
         row_prec_fixed = bool(manifest["row_prec_fixed"])
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
-    for name, value in (("order", order), ("memory", memory), ("rank", rank)):
-        if value < 1:
-            raise ModelFormatError(f"{directory / MANIFEST_NAME}: {name} must be "
-                                   "at least 1")
     for name, posterior in (("noise", noise), ("col_prec", col_prec),
                             ("row_prec", row_prec)):
         for part in ("shape", "rate"):
             values = np.asarray(getattr(posterior, part))
             if not (np.isfinite(values).all() and (values > 0).all()):
-                raise ModelFormatError(f"{directory / MANIFEST_NAME}: {name} {part} "
+                raise ModelFormatError(f"{manifest_path}: {name} {part} "
                                        "must be positive and finite")
     window = memory + 1
     factors = []

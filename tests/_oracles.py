@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without the package's fast paths:
 Kronecker expansions are built column by column, explicit kernels are
-summed over lags directly, the variational linear regression runs on plain
+summed over lags directly, the moment kernels keep both (r, s) and (s, r)
+of their R x R stacks, the variational linear regression runs on plain
 numpy inverses, and the synthetic systems and random model states are
 assembled through the public API with fixed seeds. Tests compare the
 package against these references.
@@ -46,6 +47,41 @@ def cpd_expand(factors):
 def monomial_vector(u, order):
     """The degree-`order` monomials of u, laid out like cpd_expand."""
     return kron_chain([u] * order)
+
+
+def unpack(packed):
+    """The full (R, R, N) stack of a packed (R(R+1)/2, N) moment stack,
+    whose rows are the pairs r <= s in np.triu_indices order."""
+    packed = np.asarray(packed, dtype=float)
+    rank = (int(np.sqrt(8 * packed.shape[0] + 1)) - 1) // 2
+    r, s = np.triu_indices(rank)
+    if r.size != packed.shape[0]:
+        raise ValueError(f"{packed.shape[0]} rows is not a packed stack")
+    full = np.empty((rank, rank) + packed.shape[1:])
+    full[r, s] = packed
+    full[s, r] = packed
+    return full
+
+
+def full_second_moments(U, mean, cov, uu):
+    """The full (R, R, N) second-moment stack, every (r, s) computed:
+    (m_r'u_n)(m_s'u_n) + u_n' C_{rs} u_n, with uu = khatri_rao(U, U)."""
+    window, rank = mean.shape
+    proj = mean.T @ U
+    out = proj[:, None, :] * proj[None, :, :]
+    blocks = cov.reshape(rank, window, rank, window)
+    flat = blocks.transpose(0, 2, 1, 3).reshape(rank * rank, window * window)
+    out += (flat @ uu).reshape(rank, rank, U.shape[1])
+    return out
+
+
+def full_expected_gram(U, weights, uu):
+    """sum_n weights[:, :, n] kron u_n u_n' from a full (R, R, N) stack."""
+    rank = weights.shape[0]
+    window, n_samples = U.shape
+    flat = weights.reshape(rank * rank, n_samples) @ uu.T
+    blocks = flat.reshape(rank, rank, window, window)
+    return blocks.transpose(0, 2, 1, 3).reshape(rank * window, rank * window)
 
 
 def cpd_kernels_order2(factors):

@@ -2,7 +2,9 @@
 
 The expectation routines are checked two ways: exactly against plug-in
 formulas when covariances vanish, and against Monte-Carlo averages over
-posterior draws when they do not.
+posterior draws when they do not. The packed moment stacks are unpacked
+to their full R x R form for both, and compared with the full-stack
+kernels kept in the test oracles.
 """
 
 import numpy as np
@@ -16,11 +18,19 @@ from bayesvolterra import (
     expected_gram,
     expected_output,
     expected_residual,
+    kept_pairs,
     khatri_rao,
+    moment_pairs,
     second_moments,
 )
 
-from _oracles import cpd_expand, monomial_vector
+from _oracles import (
+    cpd_expand,
+    full_expected_gram,
+    full_second_moments,
+    monomial_vector,
+    unpack,
+)
 
 MC_DRAWS = 100_000
 
@@ -112,7 +122,7 @@ def test_second_moments_zero_covariance_is_plug_in():
     rng = np.random.default_rng(4)
     U = build_lagged_matrix(rng.standard_normal(9), 3)
     mean = rng.standard_normal((4, 2))
-    out = second_moments(U, mean, np.zeros((8, 8)), khatri_rao(U, U))
+    out = unpack(second_moments(U, mean, np.zeros((8, 8)), khatri_rao(U, U)))
     proj = mean.T @ U
     for n in range(9):
         assert_allclose(out[:, :, n], np.outer(proj[:, n], proj[:, n]), atol=1e-14)
@@ -122,7 +132,8 @@ def test_second_moments_identity_covariance_adds_window_norm():
     rng = np.random.default_rng(5)
     U = build_lagged_matrix(rng.standard_normal(7), 2)
     rank = 3
-    out = second_moments(U, np.zeros((3, rank)), np.eye(3 * rank), khatri_rao(U, U))
+    out = unpack(second_moments(U, np.zeros((3, rank)), np.eye(3 * rank),
+                                khatri_rao(U, U)))
     for n in range(7):
         norm = float(U[:, n] @ U[:, n])
         assert_allclose(out[:, :, n], norm * np.eye(rank), atol=1e-14)
@@ -133,7 +144,7 @@ def test_second_moments_against_monte_carlo():
     U = build_lagged_matrix(rng.standard_normal(4), 2)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6, scale=0.5)
-    exact = second_moments(U, mean, cov, khatri_rao(U, U))
+    exact = unpack(second_moments(U, mean, cov, khatri_rao(U, U)))
     draws = sample_factor(rng, mean, cov, MC_DRAWS)
     proj = np.einsum("kir,in->krn", draws, U)
     mc = np.einsum("krn,ksn->rsn", proj, proj) / MC_DRAWS
@@ -152,7 +163,7 @@ def test_second_moments_shape_checks():
 def test_expected_gram_single_factor_is_the_gram():
     rng = np.random.default_rng(7)
     U = build_lagged_matrix(rng.standard_normal(11), 3)
-    out = expected_gram(U, np.ones((1, 1, 11)), khatri_rao(U, U))
+    out = expected_gram(U, np.ones((1, 11)), khatri_rao(U, U))
     assert_allclose(out, U @ U.T, rtol=1e-12)
 
 
@@ -174,7 +185,9 @@ def test_expected_gram_matches_per_sample_sum():
     slow = np.zeros((6, 6))
     for n in range(6):
         slow += np.kron(weights[:, :, n], np.outer(U[:, n], U[:, n]))
-    assert_allclose(expected_gram(U, weights, khatri_rao(U, U)), slow, rtol=1e-12)
+    packed = weights[np.triu_indices(2)]
+    assert_array_equal(unpack(packed), weights)
+    assert_allclose(expected_gram(U, packed, khatri_rao(U, U)), slow, rtol=1e-12)
 
 
 def test_expected_gram_is_symmetric_psd():
@@ -258,10 +271,11 @@ def test_expected_residual_matches_per_sample_sum():
     uu = khatri_rao(U, U)
     moments = [second_moments(U, m, random_psd(rng, 6), uu) for m in means]
     prod = moments[0] * moments[1]
+    full = unpack(prod)
     yhat = np.array([expanded_output(means, U[:, n]) for n in range(8)])
     slow = float(y @ y) - 2.0 * float(y @ yhat)
     for n in range(8):
-        slow += float(prod[:, :, n].sum())
+        slow += float(full[:, :, n].sum())
     assert_allclose(expected_residual(U, y, means, prod), slow, rtol=1e-12)
 
 
@@ -291,7 +305,7 @@ def test_precomputed_khatri_rao_square_matches():
     U = build_lagged_matrix(rng.standard_normal(7), 2)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6)
-    out = second_moments(U, mean, cov, khatri_rao(U, U))
+    out = unpack(second_moments(U, mean, cov, khatri_rao(U, U)))
     for n in range(7):
         u = U[:, n]
         for r in range(2):
@@ -299,3 +313,58 @@ def test_precomputed_khatri_rao_square_matches():
                 block = cov[3 * r:3 * r + 3, 3 * s:3 * s + 3]
                 direct = (mean[:, r] @ u) * (mean[:, s] @ u) + u @ block @ u
                 assert_allclose(out[r, s, n], direct, rtol=1e-12)
+
+
+def test_moment_pairs_are_the_upper_triangle():
+    r, s = moment_pairs(4)
+    assert list(zip(r.tolist(), s.tolist())) == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+        (2, 2), (2, 3), (3, 3)]
+
+
+def test_packed_kernels_match_the_full_stack_kernels():
+    # the packed stack is the upper triangle of the full one, and the Gram
+    # and residual from packed stacks equal those from the full stacks
+    rng = np.random.default_rng(17)
+    U = build_lagged_matrix(rng.standard_normal(20), 3)
+    y = rng.standard_normal(20)
+    uu = khatri_rao(U, U)
+    means = [rng.standard_normal((4, 3)) for _ in range(3)]
+    covs = [random_psd(rng, 12, scale=0.3) for _ in range(3)]
+    packed = [second_moments(U, m, c, uu) for m, c in zip(means, covs)]
+    full = [full_second_moments(U, m, c, uu) for m, c in zip(means, covs)]
+    for p, f in zip(packed, full):
+        assert p.shape == (6, 20)
+        assert_allclose(unpack(p), f, rtol=1e-12, atol=1e-12 * np.abs(f).max())
+    weights = packed[1] * packed[2]
+    assert_allclose(expected_gram(U, weights, uu),
+                    full_expected_gram(U, full[1] * full[2], uu), rtol=1e-12)
+    product = weights * packed[0]
+    full_product = full[0] * full[1] * full[2]
+    yhat = expected_output(U, means)
+    slow = float(y @ y) - 2.0 * float(y @ yhat) + float(full_product.sum())
+    assert_allclose(expected_residual(U, y, means, product), slow, rtol=1e-12)
+
+
+def test_kept_pairs_slice_the_packed_stack():
+    rng = np.random.default_rng(18)
+    U = build_lagged_matrix(rng.standard_normal(9), 2)
+    mean = rng.standard_normal((3, 5))
+    packed = second_moments(U, mean, random_psd(rng, 15), khatri_rao(U, U))
+    for keep in ([0, 2, 3], [4], [1, 2], [0, 1, 2, 3, 4]):
+        sliced = packed[kept_pairs(np.array(keep), 5)]
+        assert_array_equal(unpack(sliced), unpack(packed)[np.ix_(keep, keep)])
+
+
+def test_packed_shape_checks():
+    U = np.ones((3, 5))
+    uu = khatri_rao(U, U)
+    with pytest.raises(ValueError, match="packed"):
+        expected_gram(U, np.ones((2, 2, 5)), uu)
+    with pytest.raises(ValueError, match="packed"):
+        expected_gram(U, np.ones((4, 5)), uu)
+    with pytest.raises(ValueError, match="packed"):
+        expected_gram(U, np.ones((3, 4)), uu)
+    means = [np.ones((3, 2))] * 2
+    with pytest.raises(ValueError, match="packed"):
+        expected_residual(U, np.ones(5), means, np.ones((2, 2, 5)))

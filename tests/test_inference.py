@@ -27,6 +27,7 @@ from bayesvolterra import (
     expected_residual,
     identify,
     init_state,
+    kept_pairs,
     khatri_rao,
     second_moments,
     truncate_rank,
@@ -38,7 +39,7 @@ from bayesvolterra import (
 from bayesvolterra import inference
 from bayesvolterra.inference import stack_product
 
-from _oracles import make_rank2_data, vb_linear_oracle
+from _oracles import full_second_moments, make_rank2_data, unpack, vb_linear_oracle
 
 
 def regression_problem(seed, n=200, memory=5, noise=0.1):
@@ -179,6 +180,60 @@ def test_factor_update_matches_brute_force_assembly():
     posterior = update(state, U, y, 0)
     assert_allclose(posterior.cov, cov, rtol=1e-10)
     assert_allclose(posterior.mean[:, 0], mean, rtol=1e-10)
+
+
+def test_stack_product_of_no_stacks_is_packed_ones():
+    assert_array_equal(stack_product([], 3, 5), np.ones((6, 5)))
+    stacks_ = [np.full((6, 5), 2.0), np.full((6, 5), 3.0)]
+    assert_array_equal(stack_product(stacks_, 3, 5), np.full((6, 5), 6.0))
+
+
+def spd_problem(seed, size=40):
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((size, size + 5))
+    return root @ root.T / size + 0.1 * np.eye(size), rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("size", [1, 7, 40, 600])
+def test_solve_spd_matches_dense_linear_algebra(size):
+    # 600 spans more than one band of the lower-to-upper copy
+    matrix, rhs = spd_problem(size, size)
+    inverse, solution, logdet = inference._solve_spd(matrix, rhs, "test")
+    assert np.array_equal(inverse, inverse.T)
+    assert_allclose(inverse, np.linalg.inv(matrix), rtol=1e-10,
+                    atol=1e-12 * np.abs(inverse).max())
+    assert_allclose(solution, np.linalg.solve(matrix, rhs), rtol=1e-10)
+    sign, expected = np.linalg.slogdet(matrix)
+    assert sign == 1.0
+    assert_allclose(logdet, expected, rtol=1e-12)
+
+
+def test_solve_spd_retries_a_singular_psd_matrix_with_jitter():
+    rng = np.random.default_rng(31)
+    root = rng.standard_normal((6, 3))
+    matrix = root @ root.T  # rank 3, so the first Cholesky fails
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(matrix)
+    inverse, solution, logdet = inference._solve_spd(matrix, np.ones(6), "test")
+    jitter = 1e-10 * float(np.trace(matrix)) / 6
+    shifted = matrix + jitter * np.eye(6)
+    assert np.array_equal(inverse, inverse.T)
+    assert_allclose(inverse @ shifted, np.eye(6), atol=1e-4)
+    assert_allclose(logdet, np.linalg.slogdet(shifted)[1], rtol=1e-6)
+    assert np.isfinite(solution).all()
+
+
+def test_solve_spd_refuses_an_indefinite_matrix():
+    matrix = np.diag([1.0, 2.0, -3.0])
+    with pytest.raises(NumericFailure, match="factor 2: Cholesky failed twice"):
+        inference._solve_spd(matrix, np.ones(3), "factor 2")
+
+
+def test_solve_spd_reports_a_failed_inverse(monkeypatch):
+    monkeypatch.setattr(inference, "dpotri", lambda c, **kwargs: (c, 2))
+    matrix, rhs = spd_problem(32, 5)
+    with pytest.raises(NumericFailure, match="factor 1: dpotri failed"):
+        inference._solve_spd(matrix, rhs, "factor 1")
 
 
 def test_row_precision_update_oracle():
@@ -495,11 +550,14 @@ def test_truncation_slices_moment_stacks():
     for f in state.factors:
         f.mean[:, [0, 2]] *= 1e-6
     before = stacks(state, U)
+    full = [full_second_moments(U, f.mean, f.cov, khatri_rao(U, U))
+            for f in state.factors]
     keep = truncate_rank(state, 1e-3)
     assert_array_equal(keep, [1, 3])
-    for sliced, fresh in zip([m[np.ix_(keep, keep)] for m in before],
-                             stacks(state, U), strict=True):
-        assert_allclose(sliced, fresh, rtol=1e-12)
+    for sliced, fresh, old in zip([m[kept_pairs(keep, 4)] for m in before],
+                                  stacks(state, U), full, strict=True):
+        assert_allclose(unpack(sliced), unpack(fresh), rtol=1e-12)
+        assert_allclose(unpack(sliced), old[np.ix_(keep, keep)], rtol=1e-12)
 
 
 @pytest.mark.parametrize("order, threshold, rank_path", [
@@ -541,7 +599,7 @@ def test_identify_matches_stepwise_updates(order, threshold, rank_path):
         ranks.append(state.rank)
         keep = truncate_rank(state, config.truncation_threshold)
         if keep is not None:
-            moments = [m[np.ix_(keep, keep)] for m in moments]
+            moments = [m[kept_pairs(keep, ranks[-1])] for m in moments]
     if keep is not None:
         update_noise_precision(state, y.size, expected_residual(
             U, y, state.factor_means, stack_product(moments, state.rank, y.size)))

@@ -148,6 +148,38 @@ def test_manifest_sizes_below_one_are_rejected(tmp_path, key, value):
         load_model(directory)
 
 
+@pytest.mark.parametrize("key", ["order", "memory", "rank"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+def test_manifest_sizes_that_are_not_integers_are_rejected(tmp_path, key, value):
+    # int() used to truncate these: "rank": 1.5 or true loaded as rank 1
+    directory = save_model(random_state(8), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError,
+                       match=f"manifest.json: {key} must be an integer"):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ([3.0, 1], "shape entry must be an integer"),
+    ([True, 3], "shape entry must be an integer"),
+    ([3, "1"], "shape entry must be an integer"),
+    ([0, 3], "shape entry must be at least 1"),
+    (3, "shape must be a list"),
+])
+def test_blob_shapes_that_are_not_integers_are_rejected(tmp_path, shape, message):
+    directory = save_model(random_state(8), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["blobs"][0]["shape"] = shape
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError,
+                       match=f"manifest.json: blob factor0_mean.f64 {message}"):
+        load_model(directory)
+
+
 @pytest.mark.parametrize("group, part, value", [
     ("noise", "rate", -1.0),
     ("noise", "rate", 0.0),
