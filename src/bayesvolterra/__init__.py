@@ -28,6 +28,7 @@ from .errors import (
     NumericFailure,
 )
 from .features import (
+    block_quadratics,
     build_lagged_matrix,
     column_products,
     design_matrix,
@@ -37,6 +38,7 @@ from .features import (
     kept_pairs,
     moment_pairs,
     second_moments,
+    window_pairs,
 )
 from .inference import (
     FitConfig,

@@ -4,14 +4,18 @@ expectations.
 Every model output, design column and synthetic record comes from one
 contraction, column_products: the (R, N) stack of per-column products
 prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
-the inference loop spends its time; both take khatri_rao(U, U), which the
-caller builds once per fit. A second-moment stack is symmetric in its
-column pair (r, s), so it is stored packed: an (R(R+1)/2, N) array holding
-the pairs r <= s in moment_pairs order, and an elementwise product of
-packed stacks is the packed product. The expected residual takes the
-product of all modes' stacks, which the caller forms. Each reduction over
-samples has one implementation, a dense product or sum; a fit repeats bit
-for bit at a fixed seed and BLAS thread count.
+the inference loop spends its time. Both contract against the packed
+window square window_pairs(U), the (I(I+1)/2, N) rows u_i u_j for i <= j,
+which the caller builds once per fit; block_quadratics turns a factor
+covariance into the coefficients that map it to the quadratic forms
+u_n' C_rs u_n, which the predictive variance uses as well. A
+second-moment stack is symmetric in its column pair (r, s), so it is
+stored packed: an (R(R+1)/2, N) array holding the pairs r <= s in
+moment_pairs order, and an elementwise product of packed stacks is the
+packed product. The expected residual takes the product of all modes'
+stacks, which the caller forms. Each reduction over samples has one
+implementation, a dense product or sum; a fit repeats bit for bit at a
+fixed seed and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -106,29 +110,77 @@ def _packed_rank(rows):
     return rank if rank * (rank + 1) // 2 == rows else None
 
 
+def window_pairs(U):
+    """The packed window square: the (I(I+1)/2, N) products u_i u_j, i <= j.
+
+    Row q holds the pair (i, j) of np.triu_indices(I), the rows of
+    khatri_rao(U, U) with i <= j; the rest of that square repeats them.
+    The rows are filled one band of equal i at a time, in place.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2:
+        raise ValueError(f"window matrix has shape {U.shape}, expected a matrix")
+    window = U.shape[0]
+    out = np.empty((window * (window + 1) // 2, U.shape[1]))
+    row = 0
+    for i in range(window):
+        np.multiply(U[i], U[i:], out=out[row:row + window - i])
+        row += window - i
+    return out
+
+
+def block_quadratics(cov, rank, window):
+    """Coefficients c with (c @ window_pairs(U))[p, n] = u_n' C_rs u_n.
+
+    C_rs is the I x I block of the (R*I, R*I) covariance coupling columns
+    r and s (column index slow), for the pair (r, s) = moment_pairs(R)[p].
+    The result is (R(R+1)/2, I(I+1)/2): C_rs[i, j] + C_rs[j, i] for the
+    window pair i < j, and C_rs[i, i] on the diagonal.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (window * rank, window * rank):
+        raise ValueError(f"covariance shape {cov.shape} does not match "
+                         f"rank {rank} and window {window}")
+    r, s = moment_pairs(rank)
+    # the (r, s) blocks with r <= s, one flattened block per row
+    blocks = cov.reshape(rank, window, rank, window)[r, :, s, :]
+    blocks = blocks.reshape(r.size, window * window)
+    i, j = np.triu_indices(window)
+    out = np.take(blocks, i * window + j, axis=1)
+    out += np.take(blocks, j * window + i, axis=1)
+    # the diagonal pairs added C_rs[i, i] to itself; halving is exact
+    out[:, i == j] *= 0.5
+    return out
+
+
+def _check_pairs(U, uu):
+    window, n_samples = U.shape
+    if np.shape(uu) != (window * (window + 1) // 2, n_samples):
+        raise ValueError(f"uu has shape {np.shape(uu)}, window_pairs(U) has "
+                         f"{(window * (window + 1) // 2, n_samples)}")
+
+
 def second_moments(U, mean, cov, uu):
     """Projected second moments E[(W'u_n)(W'u_n)'] for one factor posterior.
 
     Returns the packed (R(R+1)/2, N) stack: row p, for the pair (r, s) =
     moment_pairs(R)[p], has entry (m_r'u_n)(m_s'u_n) + u_n' C_{rs} u_n at
     sample n, where C_{rs} is the I x I block of the covariance coupling
-    columns r and s (column index slow). Only the blocks with r <= s enter
-    the product with `uu`, which is khatri_rao(U, U).
+    columns r and s (column index slow). The quadratic forms are
+    block_quadratics(cov) @ uu, with `uu` the packed window square
+    window_pairs(U).
     """
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
     U = np.asarray(U, dtype=float)
     window, rank = mean.shape
     if U.shape[0] != window:
         raise ValueError(f"window matrix has {U.shape[0]} rows, mean expects {window}")
-    if cov.shape != (window * rank, window * rank):
-        raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.shape}")
+    _check_pairs(U, uu)
+    coefs = block_quadratics(cov, rank, window)
     r, s = moment_pairs(rank)
     proj = mean.T @ U
     out = proj[r] * proj[s]
-    # the (r, s) blocks with r <= s, one flattened block per packed row
-    blocks = cov.reshape(rank, window, rank, window)[r, :, s, :]
-    out += blocks.reshape(r.size, window * window) @ uu
+    out += coefs @ uu
     return out
 
 
@@ -137,10 +189,13 @@ def expected_gram(U, weights, uu):
 
     `weights` is the packed (R(R+1)/2, N) elementwise product of the other
     modes' second moments (all ones when there is no other mode) and `uu`
-    is khatri_rao(U, U); the result is sum_n W_n kron u_n u_n', an
-    (R*I, R*I) matrix, where W_n is the symmetric R x R matrix that
-    column n of `weights` packs. Each I x I block is formed once, for
-    r <= s, and placed at both (r, s) and (s, r).
+    is the packed window square window_pairs(U); the result is
+    sum_n W_n kron u_n u_n', an (R*I, R*I) matrix, where W_n is the
+    symmetric R x R matrix that column n of `weights` packs. Each entry
+    of an I x I block is computed once, for r <= s and i <= j, and placed
+    at (i, j) and (j, i) of the block, which goes to both (r, s) and
+    (s, r): the block is its own transpose, so the Gram is exactly
+    symmetric.
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -149,12 +204,18 @@ def expected_gram(U, weights, uu):
     if rank is None or weights.shape[1] != n_samples:
         raise ValueError(f"weights shape {weights.shape} is not a packed stack "
                          f"for U {U.shape}")
+    _check_pairs(U, uu)
     flat = weights @ uu.T
+    i, j = np.triu_indices(window)
+    blocks = np.empty((flat.shape[0], window * window))
+    blocks[:, i * window + j] = flat
+    blocks[:, j * window + i] = flat
+    blocks = blocks.reshape(flat.shape[0], window, window)
     r, s = moment_pairs(rank)
-    row = np.empty((rank, rank), dtype=np.intp)
-    row[r, s] = row[s, r] = np.arange(r.size)
-    blocks = flat.reshape(r.size, window, window)[row]
-    return blocks.transpose(0, 2, 1, 3).reshape(rank * window, rank * window)
+    gram = np.empty((rank, window, rank, window))
+    gram[r, :, s, :] = blocks
+    gram[s, :, r, :] = blocks
+    return gram.reshape(rank * window, rank * window)
 
 
 def expected_output(U, means):

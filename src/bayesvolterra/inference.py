@@ -6,14 +6,15 @@ property heavily. The steps take the sweep's statistics as arguments: a
 factor update the cross weights of its mode, the elementwise product of
 the other modes' packed (R(R+1)/2, N) second-moment stacks, and the noise
 update and the bound only N and the expected residual E||y - G'w||^2.
-identify forms every product of stacks with one left fold, stack_product,
-and the residual once per sweep. Rank truncation runs once per sweep after
-the bound is recorded, so every trace entry describes a state of fixed
-rank; it returns the kept columns, to whose pairs the stacks are sliced.
-Only a truncation in the last sweep calls for one more residual and noise
-update.
-A factor update factors its precision once: two triangular solves give the
-mean, and LAPACK dpotri the covariance.
+identify builds the packed window square window_pairs(U) once per fit,
+which both moment kernels contract against, forms every product of
+stacks with one left fold, stack_product, and the residual once per
+sweep. Rank truncation runs once per sweep after the bound is recorded,
+so every trace entry describes a state of fixed rank; it returns the kept
+columns, to whose pairs the stacks are sliced. Only a truncation in the
+last sweep calls for one more residual and noise update.
+A factor update factors its exactly symmetric precision once: two
+triangular solves give the mean, and LAPACK dpotri the covariance.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .features import (
     expected_gram,
     expected_residual,
     kept_pairs,
-    khatri_rao,
     moment_pairs,
     second_moments,
+    window_pairs,
 )
 from .model import FactorPosterior, GammaPosterior, init_state, prior_precision
 
@@ -168,17 +169,19 @@ def update_factor(state, U, y, mode, weights, uu):
     """Exact Gaussian update of one factor given all other posteriors.
 
     `weights` are the cross weights of `mode`, the stack_product of the
-    other modes' second_moments stacks, and `uu` is khatri_rao(U, U). The
-    new posterior is assigned into the state and returned.
+    other modes' second_moments stacks, and `uu` is the packed window
+    square window_pairs(U). The expected Gram is exactly symmetric, so the
+    precision is too. The new posterior is assigned into the state and
+    returned.
     """
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     window = U.shape[0]
     rank = state.rank
-    gram = expected_gram(U, weights, uu)
-    gram = 0.5 * (gram + gram.T)
     tau = float(state.noise.mean)
-    precision = tau * gram
+    # scaled in place, so no second (R*I)^2 array is made
+    precision = expected_gram(U, weights, uu)
+    precision *= tau
     precision[np.diag_indices_from(precision)] += prior_precision(state)
     # right-hand side E[G] y, with the design matrix at the current means
     h = column_products(U, state.factor_means, skip=mode)
@@ -382,7 +385,7 @@ def identify(U, y, config, priors=None, normalization=None):
         normalization=normalization,
         row_prec_fixed=not config.lag_sparsity,
     )
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
     last = state.order - 1
     trace = FitTrace()

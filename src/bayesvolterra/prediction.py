@@ -1,9 +1,11 @@
 """Student-t predictive distributions and evaluation metrics, as arrays.
 
 predictive_arrays gives model-unit locations, squared scales and dof for a
-window matrix; one window u_n is the column U[:, [n]]. predict is the
-whole path from a raw input record to original output units, and
-evaluate scores it with the array metrics rmse and nll.
+window matrix; one window u_n is the column U[:, [n]]. Its parameter
+variance comes from the same packed window square and covariance
+coefficients as the fit's second moments, a block of windows at a time.
+predict is the whole path from a raw input record to original output
+units, and evaluate scores it with the array metrics rmse and nll.
 """
 
 from __future__ import annotations
@@ -14,23 +16,45 @@ import numpy as np
 from scipy import stats
 
 from .data import normalize_input
-from .features import build_lagged_matrix, design_matrix, expected_output
+from .features import (
+    block_quadratics,
+    build_lagged_matrix,
+    column_products,
+    expected_output,
+    moment_pairs,
+    window_pairs,
+)
+
+# windows per packed window square in predictive_arrays
+SCORE_BLOCK = 512
 
 
 def predictive_arrays(state, U):
     """Locations, squared scales, and dof for every column of U (model units).
 
     The squared scale is b_N/a_N plus one quadratic form per factor,
-    g_d' Sigma_d g_d, with g_d the mode-d design column at the posterior
-    means; dof is twice the noise shape.
+    g_d' Sigma_d g_d, with g_d = h kron u_n the mode-d design column at
+    the posterior means, h the other modes' column products. It is summed
+    over the column pairs r <= s as (2 - delta_rs) h_r h_s q_rs, where
+    q_rs = u_n' C_rs u_n comes from block_quadratics(Sigma_d) and
+    window_pairs of SCORE_BLOCK windows at a time; dof is twice the noise
+    shape.
     """
     U = np.asarray(U, dtype=float)
     means = state.factor_means
     locations = expected_output(U, means)
     scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
-    for d, f in enumerate(state.factors):
-        g = design_matrix(U, means, d)
-        scale_sq += ((f.cov @ g) * g).sum(axis=0)
+    r, s = moment_pairs(state.rank)
+    twice = np.where(r == s, 1.0, 2.0)[:, None]
+    coefs = [twice * block_quadratics(f.cov, state.rank, state.window)
+             for f in state.factors]
+    for start in range(0, U.shape[1], SCORE_BLOCK):
+        block = U[:, start:start + SCORE_BLOCK]
+        uu = window_pairs(block)
+        for d, c in enumerate(coefs):
+            h = column_products(block, means, skip=d)
+            scale_sq[start:start + block.shape[1]] += (
+                (h[r] * h[s]) * (c @ uu)).sum(axis=0)
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bayesvolterra import (
+    block_quadratics,
     build_lagged_matrix,
     column_products,
     design_matrix,
@@ -22,6 +23,7 @@ from bayesvolterra import (
     khatri_rao,
     moment_pairs,
     second_moments,
+    window_pairs,
 )
 
 from _oracles import (
@@ -122,7 +124,7 @@ def test_second_moments_zero_covariance_is_plug_in():
     rng = np.random.default_rng(4)
     U = build_lagged_matrix(rng.standard_normal(9), 3)
     mean = rng.standard_normal((4, 2))
-    out = unpack(second_moments(U, mean, np.zeros((8, 8)), khatri_rao(U, U)))
+    out = unpack(second_moments(U, mean, np.zeros((8, 8)), window_pairs(U)))
     proj = mean.T @ U
     for n in range(9):
         assert_allclose(out[:, :, n], np.outer(proj[:, n], proj[:, n]), atol=1e-14)
@@ -133,7 +135,7 @@ def test_second_moments_identity_covariance_adds_window_norm():
     U = build_lagged_matrix(rng.standard_normal(7), 2)
     rank = 3
     out = unpack(second_moments(U, np.zeros((3, rank)), np.eye(3 * rank),
-                                khatri_rao(U, U)))
+                                window_pairs(U)))
     for n in range(7):
         norm = float(U[:, n] @ U[:, n])
         assert_allclose(out[:, :, n], norm * np.eye(rank), atol=1e-14)
@@ -144,7 +146,7 @@ def test_second_moments_against_monte_carlo():
     U = build_lagged_matrix(rng.standard_normal(4), 2)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6, scale=0.5)
-    exact = unpack(second_moments(U, mean, cov, khatri_rao(U, U)))
+    exact = unpack(second_moments(U, mean, cov, window_pairs(U)))
     draws = sample_factor(rng, mean, cov, MC_DRAWS)
     proj = np.einsum("kir,in->krn", draws, U)
     mc = np.einsum("krn,ksn->rsn", proj, proj) / MC_DRAWS
@@ -153,7 +155,7 @@ def test_second_moments_against_monte_carlo():
 
 def test_second_moments_shape_checks():
     U = np.ones((3, 5))
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     with pytest.raises(ValueError):
         second_moments(U, np.ones((4, 2)), np.eye(8), uu)
     with pytest.raises(ValueError):
@@ -163,7 +165,7 @@ def test_second_moments_shape_checks():
 def test_expected_gram_single_factor_is_the_gram():
     rng = np.random.default_rng(7)
     U = build_lagged_matrix(rng.standard_normal(11), 3)
-    out = expected_gram(U, np.ones((1, 11)), khatri_rao(U, U))
+    out = expected_gram(U, np.ones((1, 11)), window_pairs(U))
     assert_allclose(out, U @ U.T, rtol=1e-12)
 
 
@@ -171,7 +173,7 @@ def test_expected_gram_zero_covariance_is_plug_in():
     rng = np.random.default_rng(8)
     U = build_lagged_matrix(rng.standard_normal(8), 2)
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     # the cross weights of mode 0 are the other mode's stack
     gram = expected_gram(U, second_moments(U, means[1], np.zeros((6, 6)), uu), uu)
     G = design_matrix(U, means, 0)
@@ -187,7 +189,7 @@ def test_expected_gram_matches_per_sample_sum():
         slow += np.kron(weights[:, :, n], np.outer(U[:, n], U[:, n]))
     packed = weights[np.triu_indices(2)]
     assert_array_equal(unpack(packed), weights)
-    assert_allclose(expected_gram(U, packed, khatri_rao(U, U)), slow, rtol=1e-12)
+    assert_allclose(expected_gram(U, packed, window_pairs(U)), slow, rtol=1e-12)
 
 
 def test_expected_gram_is_symmetric_psd():
@@ -195,7 +197,7 @@ def test_expected_gram_is_symmetric_psd():
     U = build_lagged_matrix(rng.standard_normal(15), 3)
     mean = rng.standard_normal((4, 2))
     cov = random_psd(rng, 8)
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     gram = expected_gram(U, second_moments(U, mean, cov, uu), uu)
     assert_allclose(gram, gram.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
@@ -207,7 +209,7 @@ def test_expected_gram_against_monte_carlo():
     U = build_lagged_matrix(rng.standard_normal(5), 1)
     mean2 = rng.standard_normal((2, 2))
     cov2 = random_psd(rng, 4, scale=0.5)
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     exact = expected_gram(U, second_moments(U, mean2, cov2, uu), uu)
     acc = np.zeros_like(exact)
     draws = sample_factor(rng, mean2, cov2, MC_DRAWS // 10)
@@ -249,7 +251,7 @@ def test_expected_residual_trivial_cases():
     U = build_lagged_matrix(rng.standard_normal(10), 2)
     y = rng.standard_normal(10)
     zero_means = [np.zeros((3, 2)) for _ in range(2)]
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     zero_moments = [second_moments(U, m, np.zeros((6, 6)), uu) for m in zero_means]
     assert_allclose(
         expected_residual(U, y, zero_means, zero_moments[0] * zero_moments[1]),
@@ -268,7 +270,7 @@ def test_expected_residual_matches_per_sample_sum():
     U = build_lagged_matrix(rng.standard_normal(8), 2)
     y = rng.standard_normal(8)
     means = [rng.standard_normal((3, 2)) for _ in range(2)]
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     moments = [second_moments(U, m, random_psd(rng, 6), uu) for m in means]
     prod = moments[0] * moments[1]
     full = unpack(prod)
@@ -285,7 +287,7 @@ def test_expected_residual_against_monte_carlo():
     y = rng.standard_normal(5)
     means = [rng.standard_normal((2, 2)) for _ in range(2)]
     covs = [random_psd(rng, 4, scale=0.3) for _ in range(2)]
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     moments = [second_moments(U, m, c, uu) for m, c in zip(means, covs)]
     exact = expected_residual(U, y, means, moments[0] * moments[1])
 
@@ -299,13 +301,13 @@ def test_expected_residual_against_monte_carlo():
 
 
 def test_precomputed_khatri_rao_square_matches():
-    # with the khatri_rao(U, U) square, each stack entry is the explicit
+    # with the packed window square, each stack entry is the explicit
     # (m_r'u)(m_s'u) + u'C_rs u of one window
     rng = np.random.default_rng(16)
     U = build_lagged_matrix(rng.standard_normal(7), 2)
     mean = rng.standard_normal((3, 2))
     cov = random_psd(rng, 6)
-    out = unpack(second_moments(U, mean, cov, khatri_rao(U, U)))
+    out = unpack(second_moments(U, mean, cov, window_pairs(U)))
     for n in range(7):
         u = U[:, n]
         for r in range(2):
@@ -328,17 +330,18 @@ def test_packed_kernels_match_the_full_stack_kernels():
     rng = np.random.default_rng(17)
     U = build_lagged_matrix(rng.standard_normal(20), 3)
     y = rng.standard_normal(20)
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
+    square = khatri_rao(U, U)
     means = [rng.standard_normal((4, 3)) for _ in range(3)]
     covs = [random_psd(rng, 12, scale=0.3) for _ in range(3)]
     packed = [second_moments(U, m, c, uu) for m, c in zip(means, covs)]
-    full = [full_second_moments(U, m, c, uu) for m, c in zip(means, covs)]
+    full = [full_second_moments(U, m, c, square) for m, c in zip(means, covs)]
     for p, f in zip(packed, full):
         assert p.shape == (6, 20)
         assert_allclose(unpack(p), f, rtol=1e-12, atol=1e-12 * np.abs(f).max())
     weights = packed[1] * packed[2]
     assert_allclose(expected_gram(U, weights, uu),
-                    full_expected_gram(U, full[1] * full[2], uu), rtol=1e-12)
+                    full_expected_gram(U, full[1] * full[2], square), rtol=1e-12)
     product = weights * packed[0]
     full_product = full[0] * full[1] * full[2]
     yhat = expected_output(U, means)
@@ -350,7 +353,7 @@ def test_kept_pairs_slice_the_packed_stack():
     rng = np.random.default_rng(18)
     U = build_lagged_matrix(rng.standard_normal(9), 2)
     mean = rng.standard_normal((3, 5))
-    packed = second_moments(U, mean, random_psd(rng, 15), khatri_rao(U, U))
+    packed = second_moments(U, mean, random_psd(rng, 15), window_pairs(U))
     for keep in ([0, 2, 3], [4], [1, 2], [0, 1, 2, 3, 4]):
         sliced = packed[kept_pairs(np.array(keep), 5)]
         assert_array_equal(unpack(sliced), unpack(packed)[np.ix_(keep, keep)])
@@ -358,7 +361,7 @@ def test_kept_pairs_slice_the_packed_stack():
 
 def test_packed_shape_checks():
     U = np.ones((3, 5))
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     with pytest.raises(ValueError, match="packed"):
         expected_gram(U, np.ones((2, 2, 5)), uu)
     with pytest.raises(ValueError, match="packed"):
@@ -368,3 +371,48 @@ def test_packed_shape_checks():
     means = [np.ones((3, 2))] * 2
     with pytest.raises(ValueError, match="packed"):
         expected_residual(U, np.ones(5), means, np.ones((2, 2, 5)))
+    # the full window square is not the packed one
+    square = khatri_rao(U, U)
+    with pytest.raises(ValueError, match="window_pairs"):
+        second_moments(U, means[0], np.eye(6), square)
+    with pytest.raises(ValueError, match="window_pairs"):
+        expected_gram(U, np.ones((3, 5)), square)
+
+
+def test_window_pairs_are_the_upper_rows_of_the_khatri_rao_square():
+    rng = np.random.default_rng(19)
+    for window, n in ((1, 4), (2, 3), (5, 17), (12, 40)):
+        U = rng.standard_normal((window, n))
+        i, j = np.triu_indices(window)
+        packed = window_pairs(U)
+        assert packed.shape == (window * (window + 1) // 2, n)
+        assert_array_equal(packed, khatri_rao(U, U)[i * window + j])
+
+
+def test_block_quadratics_match_the_full_blocks():
+    # a random SPD covariance: its off-diagonal blocks C_rs are not
+    # symmetric, so both C_rs[i, j] and C_rs[j, i] must enter
+    rng = np.random.default_rng(20)
+    rank, window, n = 3, 5, 30
+    U = build_lagged_matrix(rng.standard_normal(n), window - 1)
+    cov = random_psd(rng, rank * window)
+    blocks = cov.reshape(rank, window, rank, window)
+    assert not np.allclose(blocks[0, :, 1, :], blocks[0, :, 1, :].T)
+    full = blocks.transpose(0, 2, 1, 3).reshape(rank * rank, window * window)
+    r, s = moment_pairs(rank)
+    coefs = block_quadratics(cov, rank, window)
+    assert coefs.shape == (r.size, window * (window + 1) // 2)
+    assert_allclose(coefs @ window_pairs(U),
+                    full[r * rank + s] @ khatri_rao(U, U), rtol=1e-12)
+    with pytest.raises(ValueError, match="covariance shape"):
+        block_quadratics(cov, rank, window + 1)
+
+
+def test_expected_gram_is_exactly_symmetric():
+    rng = np.random.default_rng(21)
+    rank, window, n = 7, 31, 700
+    U = rng.standard_normal((window, n))
+    weights = rng.standard_normal((rank * (rank + 1) // 2, n))
+    gram = expected_gram(U, weights, window_pairs(U))
+    assert gram.shape == (rank * window, rank * window)
+    assert np.array_equal(gram, gram.T)

@@ -35,6 +35,7 @@ from bayesvolterra import (
     update_factor,
     update_noise_precision,
     update_row_precisions,
+    window_pairs,
 )
 from bayesvolterra import inference
 from bayesvolterra.inference import stack_product
@@ -68,7 +69,7 @@ def scalar_state(mean, var, col_mean, row_mean, noise_mean, priors=None):
 # The steps take the sweep's statistics as arguments; these helpers
 # recompute them from the state, as a test that moves one coordinate needs.
 def stacks(state, U):
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     return [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
 
 
@@ -80,7 +81,7 @@ def residual(state, U, y):
 def update(state, U, y, mode):
     moments = stacks(state, U)
     weights = stack_product(moments[:mode] + moments[mode + 1:], state.rank, y.size)
-    return update_factor(state, U, y, mode, weights, khatri_rao(U, U))
+    return update_factor(state, U, y, mode, weights, window_pairs(U))
 
 
 def noise_update(state, U, y):
@@ -581,7 +582,7 @@ def test_identify_matches_stepwise_updates(order, threshold, rank_path):
     fitted, trace = identify(U, y, config)
 
     state = init_state(order, 4, 4, seed=0)
-    uu = khatri_rao(U, U)
+    uu = window_pairs(U)
     moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
     bounds, ranks = [], []
     for _ in range(config.max_iter):
@@ -646,7 +647,7 @@ def test_identify_refreshes_the_noise_after_a_last_sweep_truncation():
                        truncation_threshold=0.5, seed=0)
     state, trace = identify(U, y, config)
     assert state.rank < trace.rank[-1]
-    moments = [second_moments(U, f.mean, f.cov, khatri_rao(U, U))
+    moments = [second_moments(U, f.mean, f.cov, window_pairs(U))
                for f in state.factors]
     resid = expected_residual(U, y, state.factor_means,
                               stack_product(moments, state.rank, y.size))

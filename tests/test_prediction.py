@@ -19,6 +19,7 @@ from bayesvolterra import (
     predictive_arrays,
     rmse,
 )
+from bayesvolterra.prediction import SCORE_BLOCK
 
 from _oracles import student_t_oracle, vb_linear_oracle
 
@@ -154,6 +155,35 @@ def test_predictive_arrays_batched_match_single_windows():
         assert locations[n] == pytest.approx(location[0], rel=1e-12, abs=1e-15)
         assert scale_sq[n] == pytest.approx(single_sq[0], rel=1e-12)
         assert dof == single_dof
+
+
+def test_predictive_arrays_across_block_edges():
+    # two full scoring blocks and a ragged one, against the explicit
+    # Kronecker design column g = kron(h, u) and g' Sigma g per window
+    rng = np.random.default_rng(9)
+    order, rank, memory, n = 3, 4, 6, 1100
+    assert 2 * SCORE_BLOCK < n < 3 * SCORE_BLOCK
+    state = init_state(order, memory, rank, seed=9)
+    size = rank * (memory + 1)
+    for f in state.factors:
+        f.mean[...] = rng.standard_normal(f.mean.shape)
+        root = rng.standard_normal((size, size))
+        f.cov[...] = root @ root.T / size + 0.1 * np.eye(size)
+    state.noise = GammaPosterior(3.0, 2.0)
+    U = build_lagged_matrix(rng.uniform(-1.0, 1.0, n), memory)
+    _, scale_sq, dof = predictive_arrays(state, U)
+    expected = np.full(n, 2.0 / 3.0)
+    for col in range(n):
+        u = U[:, col]
+        for d, f in enumerate(state.factors):
+            h = np.ones(rank)
+            for k, other in enumerate(state.factors):
+                if k != d:
+                    h = h * (other.mean.T @ u)
+            g = np.kron(h, u)
+            expected[col] += g @ f.cov @ g
+    assert_allclose(scale_sq, expected, rtol=1e-12)
+    assert dof == 6.0
 
 
 def test_predict_maps_to_original_units():
