@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -23,6 +22,7 @@ from .data import (
     split_count,
     standardize_output,
     synthesize,
+    write_csv,
 )
 from .errors import BayesVolterraError
 from .features import build_lagged_matrix
@@ -180,12 +180,8 @@ def _write_metrics(metrics, path):
 
 
 def _write_trace(path, trace):
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iter", "elbo", "rank", "e_tau", "wall_s"])
-        for row in zip(trace.iterations, trace.elbo, trace.rank,
-                       trace.noise_mean, trace.wall_s):
-            writer.writerow([row[0], repr(row[1]), row[2], repr(row[3]), repr(row[4])])
+    write_csv(path, ["iter", "elbo", "rank", "e_tau", "wall_s"],
+              [trace.iterations, trace.elbo, trace.rank, trace.noise_mean, trace.wall_s])
 
 
 def _cmd_identify(args):
@@ -257,11 +253,7 @@ def _cmd_predict(args):
     state = load_model(args.model)
     dataset = load_csv(args.data)
     locations, scales, dof = prediction.predict(state, dataset.u)
-    with args.out.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y_mean", "y_scale", "y_dof"])
-        for loc, scale in zip(locations, scales):
-            writer.writerow([repr(float(loc)), repr(float(scale)), repr(float(dof))])
+    write_csv(args.out, ["y_mean", "y_scale", "y_dof"], [locations, scales, float(dof)])
     return 0
 
 
@@ -305,12 +297,9 @@ def _cmd_report(args):
     e_delta = state.row_prec_means()
     stacked = np.stack([f.mean for f in state.factors])
     row_rms = np.sqrt((stacked**2).mean(axis=(0, 2)))
-    with args.delta_profile.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lag", "e_delta", "row_rms"])
-        for i in range(state.window):
-            # the constant window entry is reported as lag -1
-            writer.writerow([i - 1, repr(float(e_delta[i])), repr(float(row_rms[i]))])
+    # the constant window entry is reported as lag -1
+    lags = np.arange(-1, state.window - 1)
+    write_csv(args.delta_profile, ["lag", "e_delta", "row_rms"], [lags, e_delta, row_rms])
     return 0
 
 

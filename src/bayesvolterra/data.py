@@ -1,12 +1,19 @@
-"""CSV ingestion, splits, normalization, and the synthetic generator.
+"""CSV ingestion and output, splits, normalization, and the synthetic
+generator.
 
-Synthetic systems are CPD factors only; their records come from the same
-window contraction as the model's output, features.expected_output.
+load_csv parses the data rows of a `u,y` file in one streaming np.loadtxt
+pass and reads the file row by row only to cite the line of a fault.
+write_csv is the one CSV writer, for datasets, predictions, fit traces and
+lag profiles: it formats WRITE_BLOCK rows per write, with the bytes
+csv.writer would give. Synthetic systems are CPD factors only; their
+records come from the same window contraction as the model's output,
+features.expected_output.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +23,8 @@ from .errors import DataFormatError
 from .features import build_lagged_matrix, column_products, expected_output
 from .model import NormalizationRecord
 from .tensor_ops import check_factors
+
+WRITE_BLOCK = 1 << 14  # CSV rows formatted per write
 
 
 @dataclass
@@ -44,46 +53,105 @@ class Dataset:
 def load_csv(path):
     """Read a two-column CSV with header `u,y` into a Dataset.
 
-    Errors cite the one-based line number of the offending row.
+    Every row must hold two finite numbers; cells may be quoted or padded
+    with spaces, and lines may end in \\n, \\r\\n or \\r. An empty or
+    whitespace-only line is an error. The header goes through csv.reader
+    and the data rows through one streaming np.loadtxt pass, checked for
+    finiteness once on the array. Only when that pass fails is the file
+    read again row by row (_read_rows), so that errors cite the one-based
+    line number of the first offending row.
     """
     path = Path(path)
-    u, y = [], []
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}:1: file is empty") from None
+        header = next(csv.reader(handle), None)
+        if header is None:
+            raise DataFormatError(f"{path}:1: file is empty")
         if [c.strip() for c in header] != ["u", "y"]:
             raise DataFormatError(
                 f"{path}:1: expected header 'u,y', got {','.join(header)!r}"
             )
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataFormatError(f"{path}:{line}: expected 2 columns, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line}: non-numeric value in {row!r}"
-                ) from None
-            if not all(np.isfinite(v) for v in values):
-                raise DataFormatError(f"{path}:{line}: non-finite value in {row!r}")
-            u.append(values[0])
-            y.append(values[1])
-    if not u:
-        raise DataFormatError(f"{path}: no data rows")
+        first = next(handle, None)
+        if first is None:
+            raise DataFormatError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(_data_lines(itertools.chain([first], handle)),
+                               delimiter=",", comments=None, quotechar='"', ndmin=2,
+                               dtype=float)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != 2 or not np.isfinite(table).all():
+            # cite the first offending line; a row that float() reads but
+            # np.loadtxt does not (such as "1_0") is accepted here
+            handle.seek(0)
+            return _read_rows(path, handle)
+    # two contiguous columns, as the row-by-row pass gives, not strided
+    # views that keep the table alive
+    return Dataset(table[:, 0].copy(), table[:, 1].copy())
+
+
+def _data_lines(lines):
+    """Pass the lines on, stopping np.loadtxt with a ValueError at an empty
+    line, which it would skip. The caller then cites the first offending
+    line from the row-by-row pass: an earlier row may be at fault too (a
+    NaN, say, or a third cell on every row)."""
+    for text in lines:
+        if not text.rstrip("\r\n"):
+            raise ValueError("empty line")
+        yield text
+
+
+def _read_rows(path, handle):
+    """Read the open CSV from its start, row by row with csv.reader and
+    float(), raising at the first offending line; the header, already
+    checked, is skipped."""
+    u, y = [], []
+    reader = csv.reader(handle)
+    next(reader)
+    for line, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise DataFormatError(f"{path}:{line}: expected 2 columns, got {len(row)}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{line}: non-numeric value in {row!r}"
+            ) from None
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}:{line}: non-finite value in {row!r}")
+        u.append(values[0])
+        y.append(values[1])
     return Dataset(np.array(u), np.array(y))
 
 
 def save_csv(path, dataset):
-    """Write a Dataset as a two-column CSV with header `u,y`."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "y"])
-        for un, yn in zip(dataset.u, dataset.y):
-            writer.writerow([repr(float(un)), repr(float(yn))])
+    """Write a Dataset as a two-column CSV with header `u,y`, through
+    write_csv."""
+    write_csv(path, ["u", "y"], [dataset.u, dataset.y])
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns under `header` as a CSV file.
+
+    Each column is a 1-D array or list, or a scalar repeated on every row,
+    which is formatted once. Floats are written by repr and integers by
+    str, with \\r\\n line ends: byte for byte what csv.writer writes for
+    these cells. Rows are formatted WRITE_BLOCK at a time, so no
+    whole-record list of Python numbers is made.
+    """
+    arrays, fields = [], []
+    for column in columns:
+        if np.ndim(column) == 0:
+            fields.append(repr(np.asarray(column).item()))
+        else:
+            arrays.append(np.asarray(column))
+            fields.append("{!r}")
+    template = ",".join(fields) + "\r\n"
+    rows = len(arrays[0])
+    with Path(path).open("w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, rows, WRITE_BLOCK):
+            block = [array[start:start + WRITE_BLOCK].tolist() for array in arrays]
+            handle.writelines(map(template.format, *block))
 
 
 def split_count(n, split):

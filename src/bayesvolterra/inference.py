@@ -106,22 +106,29 @@ def _solve_spd(matrix, rhs, label):
     Returns (inverse, solution, logdet): the inverse from LAPACK dpotri,
     exactly symmetric; matrix^-1 rhs from two triangular solves; and
     log det(matrix). One jitter retry (1e-10 times the mean diagonal
-    magnitude) before giving up with a NumericFailure.
+    magnitude) before giving up with a NumericFailure. The matrix is not
+    scanned for non-finite entries (an O(size^2) pass); a factor with a
+    non-finite diagonal raises NumericFailure instead.
     """
     size = matrix.shape[0]
     try:
-        factor = cho_factor(matrix, lower=True)
+        factor = cho_factor(matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         jitter = 1e-10 * float(np.trace(matrix)) / size
         shifted = matrix.copy()
         shifted[np.diag_indices(size)] += jitter
         try:
-            factor = cho_factor(shifted, lower=True)
+            factor = cho_factor(shifted, lower=True, check_finite=False)
         except np.linalg.LinAlgError as err:
             raise NumericFailure(
                 f"{label}: Cholesky failed twice (jitter {jitter:.3e})"
             ) from err
-    logdet = 2.0 * float(np.log(np.diag(factor[0])).sum())
+    # a NaN in the matrix can reach the factor without a LinAlgError; every
+    # entry of the factor feeds its diagonal
+    diagonal = np.diag(factor[0])
+    if not np.isfinite(diagonal).all():
+        raise NumericFailure(f"{label}: Cholesky factor is not finite")
+    logdet = 2.0 * float(np.log(diagonal).sum())
     solution = cho_solve(factor, rhs, check_finite=False)
     inverse, info = dpotri(factor[0], lower=1, overwrite_c=1)
     if info != 0:

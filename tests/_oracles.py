@@ -4,14 +4,18 @@ Everything here is deliberately written without the package's fast paths:
 Kronecker expansions are built column by column, explicit kernels are
 summed over lags directly, the moment kernels keep both (r, s) and (s, r)
 of their R x R stacks, the variational linear regression runs on plain
-numpy inverses, and the synthetic systems and random model states are
-assembled through the public API with fixed seeds. Tests compare the
+numpy inverses, the CSV reference reads and writes one row at a time
+through the csv module, and the synthetic systems and random model states
+are assembled through the public API with fixed seeds. Tests compare the
 package against these references.
 """
+
+import csv
 
 import numpy as np
 
 from bayesvolterra import (
+    DataFormatError,
     FitConfig,
     GammaPosterior,
     NormalizationRecord,
@@ -263,3 +267,44 @@ def random_state(seed):
     )
     state.noise = GammaPosterior(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
     return state
+
+
+def reference_read_csv(path):
+    """A `u,y` CSV read row by row with csv.reader and float() per cell.
+
+    Returns (u, y), or raises DataFormatError worded as load_csv words it,
+    citing the first offending line.
+    """
+    u, y = [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}:1: file is empty")
+        if [c.strip() for c in header] != ["u", "y"]:
+            raise DataFormatError(
+                f"{path}:1: expected header 'u,y', got {','.join(header)!r}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise DataFormatError(f"{path}:{line}: expected 2 columns, got {len(row)}")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise DataFormatError(f"{path}:{line}: non-numeric value in {row!r}") from None
+            if not all(np.isfinite(values)):
+                raise DataFormatError(f"{path}:{line}: non-finite value in {row!r}")
+            u.append(values[0])
+            y.append(values[1])
+    if not u:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.array(u), np.array(y)
+
+
+def reference_write_csv(path, header, rows):
+    """csv.writer output for rows of Python numbers: floats by repr, ints
+    by str."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

@@ -11,14 +11,16 @@ from numpy.testing import assert_array_equal
 
 from bayesvolterra import (
     Dataset,
+    FitTrace,
     evaluate,
     load_csv,
     load_model,
+    predict,
     save_csv,
 )
-from bayesvolterra.cli import main
+from bayesvolterra.cli import _write_trace, main
 
-from _oracles import make_fading_data
+from _oracles import make_fading_data, reference_write_csv
 
 METRIC_KEYS = {"rmse", "nll", "final_rank", "elbo", "runtime_s", "seed"}
 
@@ -85,6 +87,39 @@ def test_predict_columns_equal_evaluate(pipeline):
     report = evaluate(load_model(pipeline.model), dataset.u, dataset.y)
     assert_array_equal([float(row[0]) for row in rows], report.locations)
     assert_array_equal([float(row[1]) for row in rows], report.scales)
+
+
+def test_predict_csv_matches_a_row_by_row_writer_bytewise(pipeline):
+    # 40 003 rows: several write blocks and a ragged last one
+    rng = np.random.default_rng(43)
+    u = rng.uniform(0.0, 1.0, 40_003)
+    u[:4] = [5e-324, -0.0, 1e-05, 1.0]
+    data = pipeline.root / "long.csv"
+    save_csv(data, Dataset(u, rng.standard_normal(u.size)))
+    out = pipeline.root / "pred_long.csv"
+    assert main(["predict", "--model", str(pipeline.model),
+                 "--data", str(data), "--out", str(out)]) == 0
+    locations, scales, dof = predict(load_model(pipeline.model), u)
+    reference = pipeline.root / "pred_reference.csv"
+    reference_write_csv(reference, ["y_mean", "y_scale", "y_dof"],
+                        [(loc, scale, float(dof))
+                         for loc, scale in zip(locations.tolist(), scales.tolist())])
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_trace_csv_matches_a_row_by_row_writer_bytewise(tmp_path):
+    rng = np.random.default_rng(44)
+    trace = FitTrace()
+    extremes = [5e-324, -0.0, 1e16, 1e-05]
+    for k in range(40_003):
+        elbo, e_tau, wall = (extremes[k] if k < 4 else v
+                             for v in rng.standard_normal(3) * 1e3)
+        trace.append(k + 1, elbo, int(rng.integers(1, 30)), e_tau, abs(wall))
+    _write_trace(tmp_path / "trace.csv", trace)
+    reference_write_csv(tmp_path / "reference.csv", ["iter", "elbo", "rank", "e_tau", "wall_s"],
+                        zip(trace.iterations, trace.elbo, trace.rank, trace.noise_mean,
+                            trace.wall_s))
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_report_trace_and_delta_profile(pipeline):

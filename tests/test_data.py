@@ -22,7 +22,14 @@ from bayesvolterra import (
     synthesize,
 )
 
-from _oracles import cpd_expand, cpd_kernels_order2, nested_summation, scale_rows
+from _oracles import (
+    cpd_expand,
+    cpd_kernels_order2,
+    nested_summation,
+    reference_read_csv,
+    reference_write_csv,
+    scale_rows,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -71,6 +78,105 @@ def test_load_csv_cites_the_offending_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("u,y\n1,2\n\n3,4\n", 3),
+    ("u,y\n1,2\n\n", 3),
+    ("u,y\r\n1,2\r\n\r\n3,4\r\n", 3),
+    ("u,y\n1,2\n3,4\n   \n5,6\n", 4),
+], ids=["empty", "trailing-empty", "empty-crlf", "whitespace-only"])
+def test_load_csv_refuses_empty_lines(tmp_path, text, line):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match=f":{line}: expected 2 columns"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u,y\n1,nan\n\n", ":2: non-finite"),
+    ("u,y\n1,2,3\n4,5,6\n\n", ":2: expected 2 columns, got 3"),
+    ("u,y\n1_0,2\n\n", ":3: expected 2 columns, got 0"),
+], ids=["non-finite", "three-columns", "underscore-digits"])
+def test_load_csv_cites_the_first_fault_before_an_empty_line(tmp_path, text, message):
+    with pytest.raises(DataFormatError, match=message):
+        load_csv(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", [
+    'u,y\n"0.1","2"\n"0.3",4\n',
+    "u,y\n 0.1 , 2 \n0.3 ,4\n",
+    "u,y\r\n0.1,2\r\n0.3,4\r\n",
+    "u,y\n0.1,2\n0.3,4",
+], ids=["quoted", "padded", "crlf", "no-final-newline"])
+def test_load_csv_accepts_quoted_padded_and_crlf_rows(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    dataset = load_csv(path)
+    assert_array_equal(dataset.u, [0.1, 0.3])
+    assert_array_equal(dataset.y, [2.0, 4.0])
+
+
+@pytest.fixture(scope="module")
+def long_rows():
+    rng = np.random.default_rng(40)
+    return [f"{a!r},{b!r}\n" for a, b in rng.standard_normal((100_000, 2)).tolist()]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0.5,abc\n", "non-numeric value in \\['0.5', 'abc'\\]"),
+    ("0.5\n", "expected 2 columns, got 1"),
+    ("\n", "expected 2 columns, got 0"),
+    ("nan,0.5\n", "non-finite value in \\['nan', '0.5'\\]"),
+])
+def test_load_csv_cites_a_late_line_of_a_long_file(tmp_path, long_rows, bad, message):
+    rows = list(long_rows)
+    rows[69_999] = bad  # data row k is line k + 2
+    path = tmp_path / "long.csv"
+    path.write_text("u,y\n" + "".join(rows))
+    with pytest.raises(DataFormatError, match=f":70001: {message}$"):
+        load_csv(path)
+
+
+def test_load_csv_matches_a_row_by_row_reference_bitwise(tmp_path):
+    rng = np.random.default_rng(41)
+    values = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-300, 300, (5000, 2))
+    values[:4] = [[5e-324, -0.0], [1e16, 1e-05], [-0.0, 5e-324], [1e-05, 1e16]]
+    formats = ("{!r}", "{:.17g}", "{:.6e}", "{:.3f}", "{:+.20e}")
+    lines = [",".join(formats[(i + j) % len(formats)].format(v) for j, v in enumerate(row))
+             for i, row in enumerate(values.tolist())]
+    path = tmp_path / "values.csv"
+    path.write_text("u,y\n" + "\n".join(lines) + "\n")
+    u, y = reference_read_csv(path)
+    dataset = load_csv(path)
+    assert dataset.u.tobytes() == u.tobytes()
+    assert dataset.y.tobytes() == y.tobytes()
+
+
+CELLS = ["1", "-0.5", "2e3", "1_0", "nan", "inf", "1e999", "abc", "", " ",
+         " 3 ", "\t4", '"5"', '"6', '7"', '"8"9', "1 2", "."]
+
+
+def test_load_csv_agrees_with_the_row_by_row_reference(tmp_path):
+    # 300 random files of up to 5 rows of 0-3 cells drawn from CELLS
+    rng = np.random.default_rng(45)
+    path = tmp_path / "fuzz.csv"
+    for case in range(300):
+        rows = [",".join(rng.choice(CELLS, rng.integers(0, 4)).tolist())
+                for _ in range(rng.integers(0, 6))]
+        end = ["\n", "\r\n", "\r"][case % 3]
+        text = end.join(["u,y", *rows]) + (end if case % 2 else "")
+        path.write_bytes(text.encode())
+        try:
+            expected = reference_read_csv(path)
+        except DataFormatError as err:
+            with pytest.raises(DataFormatError) as got:
+                load_csv(path)
+            assert str(got.value) == str(err), repr(text)
+        else:
+            dataset = load_csv(path)
+            assert dataset.u.tobytes() == expected[0].tobytes(), repr(text)
+            assert dataset.y.tobytes() == expected[1].tobytes(), repr(text)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     dataset = Dataset(rng.standard_normal(50), rng.standard_normal(50))
@@ -79,6 +185,16 @@ def test_csv_round_trip_is_exact(tmp_path):
     back = load_csv(path)
     assert_array_equal(back.u, dataset.u)
     assert_array_equal(back.y, dataset.y)
+
+
+def test_save_csv_matches_a_row_by_row_writer_bytewise(tmp_path):
+    # 40 003 rows: several write blocks and a ragged last one
+    rng = np.random.default_rng(42)
+    values = rng.standard_normal((40_003, 2)) * 10.0 ** rng.integers(-300, 300, (40_003, 2))
+    values[:4] = [[5e-324, -0.0], [1e16, 1e-05], [-0.0, 5e-324], [1e-05, 1e16]]
+    save_csv(tmp_path / "saved.csv", Dataset(values[:, 0], values[:, 1]))
+    reference_write_csv(tmp_path / "reference.csv", ["u", "y"], values.tolist())
+    assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_dataset_validation():

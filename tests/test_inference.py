@@ -230,6 +230,15 @@ def test_solve_spd_refuses_an_indefinite_matrix():
         inference._solve_spd(matrix, np.ones(3), "factor 2")
 
 
+@pytest.mark.parametrize("size", [5, 300])
+def test_solve_spd_refuses_a_nan_off_diagonal_entry(size):
+    # cho_factor does not scan for NaN, which reaches the factor silently
+    matrix, rhs = spd_problem(size + 1, size)
+    matrix[size - 1, size // 3] = matrix[size // 3, size - 1] = np.nan
+    with pytest.raises(NumericFailure, match="factor 2: Cholesky factor is not finite"):
+        inference._solve_spd(matrix, rhs, "factor 2")
+
+
 def test_solve_spd_reports_a_failed_inverse(monkeypatch):
     monkeypatch.setattr(inference, "dpotri", lambda c, **kwargs: (c, 2))
     matrix, rhs = spd_problem(32, 5)
