@@ -211,10 +211,10 @@ def _cmd_identify(args):
         runtime = time.perf_counter() - started
         if args.split is not None:
             report = prediction.evaluate(state, dataset.u, dataset.y,
-                                         start=n_est, skip=args.skip_warmup)
+                                         start=n_est + args.skip_warmup)
         else:
             report = prediction.evaluate(state, u_est, y_est,
-                                         start=0, skip=args.skip_warmup)
+                                         start=args.skip_warmup)
         runs.append({
             "seed": config.seed,
             "rmse": report.rmse,
@@ -264,7 +264,7 @@ def _cmd_evaluate(args):
     start = split_count(len(dataset), args.split) if args.split is not None else 0
     started = time.perf_counter()
     report = prediction.evaluate(state, dataset.u, dataset.y,
-                                 start=start, skip=args.skip_warmup)
+                                 start=start + args.skip_warmup)
     wall = time.perf_counter() - started
     metrics = {
         "rmse": report.rmse,

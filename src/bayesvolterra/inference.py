@@ -393,7 +393,9 @@ def identify(U, y, config, priors=None, normalization=None):
         row_prec_fixed=not config.lag_sparsity,
     )
     uu = window_pairs(U)
-    moments = [second_moments(U, f.mean, f.cov, uu) for f in state.factors]
+    # the first update overwrites factor 0's stack before anything reads it
+    moments = [None] + [second_moments(U, f.mean, f.cov, uu)
+                        for f in state.factors[1:]]
     last = state.order - 1
     trace = FitTrace()
     previous = None

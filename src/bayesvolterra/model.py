@@ -80,14 +80,13 @@ class NormalizationRecord:
     output_std: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"normalization {name} must be finite")
         if not self.input_max > self.input_min:
             raise ValueError("input_max must exceed input_min")
         if not self.output_std > 0:
             raise ValueError("output_std must be positive")
-
-    @classmethod
-    def identity(cls):
-        return cls()
 
 
 @dataclass
@@ -165,7 +164,7 @@ def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
         noise=GammaPosterior(priors.noise_shape, priors.noise_rate),
         priors=priors,
         normalization=normalization if normalization is not None
-        else NormalizationRecord.identity(),
+        else NormalizationRecord(),
         row_prec_fixed=row_prec_fixed,
     )
 

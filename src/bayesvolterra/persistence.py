@@ -35,6 +35,8 @@ def save_model(state, directory, info=None):
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    # load_model derives the blobs from the sizes; format version 1 keeps
+    # the list for readers outside this package
     blobs = []
     for d, factor in enumerate(state.factors):
         for kind, array in (("mean", factor.mean), ("cov", factor.cov)):
@@ -103,16 +105,10 @@ def _size(manifest_path, name, value):
     return value
 
 
-def _read_blob(directory, entry):
-    path = Path(directory) / entry["file"]
+def _read_blob(path, shape):
+    """A float64 blob of `shape`, which the manifest sizes determine."""
     if not path.is_file():
         raise ModelFormatError(f"{path}: blob missing")
-    manifest_path = Path(directory) / MANIFEST_NAME
-    name = f"blob {entry['file']} shape"
-    shape = entry.get("shape")
-    if not isinstance(shape, list):
-        raise ModelFormatError(f"{manifest_path}: {name} must be a list, got {shape!r}")
-    shape = tuple(_size(manifest_path, f"{name} entry", s) for s in shape)
     expected = int(np.prod(shape)) * 8
     raw = path.read_bytes()
     if len(raw) != expected:
@@ -126,13 +122,30 @@ def _read_blob(directory, entry):
     return array
 
 
+def _gamma(manifest_path, posteriors, name, shape):
+    """The stored Gamma posterior `name`: shape and rate parameters of
+    array shape `shape` (a scalar when empty), positive and finite."""
+    parts = []
+    for part in ("shape", "rate"):
+        values = np.asarray(posteriors[name][part], dtype=float)
+        if values.shape != shape:
+            raise ModelFormatError(f"{manifest_path}: {name} {part} has shape "
+                                   f"{list(values.shape)}, expected {list(shape)}")
+        if not (np.isfinite(values).all() and (values > 0).all()):
+            raise ModelFormatError(f"{manifest_path}: {name} {part} "
+                                   "must be positive and finite")
+        parts.append(values if shape else float(values))
+    return GammaPosterior(*parts)
+
+
 def load_model(directory):
     """Restore a ModelState from a model directory.
 
-    Sizes and blob shape entries that are not integers of at least 1,
-    non-positive Gamma parameters, non-finite blobs and covariances that
-    are not symmetric positive definite raise a ModelFormatError naming
-    the file.
+    The sizes alone fix every blob: factor{d}_mean.f64 is (memory + 1) x
+    rank and factor{d}_cov.f64 is square of side (memory + 1) * rank. A
+    malformed size, flag, normalization record or Gamma posterior, a
+    non-finite blob, or a covariance that is not symmetric positive
+    definite raises a ModelFormatError naming the file.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -140,62 +153,33 @@ def load_model(directory):
     try:
         order, memory, rank = (_size(manifest_path, name, manifest[name])
                                for name in ("order", "memory", "rank"))
-        blobs = {entry["file"]: entry for entry in manifest["blobs"]}
+        window = memory + 1
         priors = PriorConfig(**manifest["priors"])
         normalization = NormalizationRecord(**manifest["normalization"])
         posteriors = manifest["posteriors"]
-        noise = GammaPosterior(float(posteriors["noise"]["shape"]),
-                               float(posteriors["noise"]["rate"]))
-        col_prec = GammaPosterior(
-            np.asarray(posteriors["col_prec"]["shape"], dtype=float),
-            np.asarray(posteriors["col_prec"]["rate"], dtype=float),
-        )
-        row_prec = GammaPosterior(
-            np.asarray(posteriors["row_prec"]["shape"], dtype=float),
-            np.asarray(posteriors["row_prec"]["rate"], dtype=float),
-        )
-        row_prec_fixed = bool(manifest["row_prec_fixed"])
+        noise = _gamma(manifest_path, posteriors, "noise", ())
+        col_prec = _gamma(manifest_path, posteriors, "col_prec", (rank,))
+        row_prec = _gamma(manifest_path, posteriors, "row_prec", (window,))
+        row_prec_fixed = manifest["row_prec_fixed"]
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
-    for name, posterior in (("noise", noise), ("col_prec", col_prec),
-                            ("row_prec", row_prec)):
-        for part in ("shape", "rate"):
-            values = np.asarray(getattr(posterior, part))
-            if not (np.isfinite(values).all() and (values > 0).all()):
-                raise ModelFormatError(f"{manifest_path}: {name} {part} "
-                                       "must be positive and finite")
-    window = memory + 1
+    if not isinstance(row_prec_fixed, bool):
+        raise ModelFormatError(f"{manifest_path}: row_prec_fixed must be a boolean, "
+                               f"got {row_prec_fixed!r}")
+    side = window * rank
     factors = []
     for d in range(order):
-        mean_name, cov_name = f"factor{d}_mean.f64", f"factor{d}_cov.f64"
-        for name in (mean_name, cov_name):
-            if name not in blobs:
-                raise ModelFormatError(f"{directory}: manifest lists no blob {name!r}")
-        mean = _read_blob(directory, blobs[mean_name])
-        cov = _read_blob(directory, blobs[cov_name])
-        if mean.shape != (window, rank):
-            raise ModelFormatError(
-                f"{mean_name}: shape {list(mean.shape)} does not match "
-                f"window {window} x rank {rank}"
-            )
-        if cov.shape != (window * rank, window * rank):
-            raise ModelFormatError(
-                f"{cov_name}: shape {list(cov.shape)} does not match "
-                f"window {window} x rank {rank}"
-            )
+        mean = _read_blob(directory / f"factor{d}_mean.f64", (window, rank))
+        cov_path = directory / f"factor{d}_cov.f64"
+        cov = _read_blob(cov_path, (side, side))
         if not np.array_equal(cov, cov.T):
-            raise ModelFormatError(f"{directory / cov_name}: covariance is not "
-                                   "symmetric")
+            raise ModelFormatError(f"{cov_path}: covariance is not symmetric")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            raise ModelFormatError(f"{directory / cov_name}: covariance is not "
+            raise ModelFormatError(f"{cov_path}: covariance is not "
                                    "positive definite") from None
         factors.append(FactorPosterior(mean=mean, cov=cov))
-    if np.asarray(col_prec.shape).shape != (rank,):
-        raise ModelFormatError(f"{directory}: col_prec length does not match rank")
-    if np.asarray(row_prec.shape).shape != (window,):
-        raise ModelFormatError(f"{directory}: row_prec length does not match window")
     return ModelState(
         order=order,
         memory=memory,

@@ -110,13 +110,12 @@ class EvalReport:
     dof: float
 
 
-def evaluate(state, u, y, start=0, skip=0):
+def evaluate(state, u, y, start=0):
     """Score the model on a raw record, reporting original-unit metrics.
 
-    The windows of y[start + skip:] are scored by predict, so they see the
-    true past of the input. `skip` exists to drop zero-padded warm-up
-    windows when the record has no usable history. The variances are
-    dof/(dof-2) scale^2, NaN when dof <= 2.
+    The windows of y[start:] are scored by predict, so they see the true
+    past of the input. The variances are dof/(dof-2) scale^2, NaN when
+    dof <= 2.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -124,8 +123,8 @@ def evaluate(state, u, y, start=0, skip=0):
         raise ValueError("u and y must be one-dimensional and equally long")
     if not np.isfinite(y).all():
         raise ValueError("output record must be finite")
-    locations, scales, dof = predict(state, u, start + skip)
-    y = y[start + skip:]
+    locations, scales, dof = predict(state, u, start)
+    y = y[start:]
     variances = (dof / (dof - 2.0) * np.square(scales) if dof > 2
                  else np.full_like(scales, float("nan")))
     return EvalReport(

@@ -14,6 +14,7 @@ from bayesvolterra import (
     FitTrace,
     evaluate,
     load_csv,
+    load_manifest,
     load_model,
     predict,
     save_csv,
@@ -317,6 +318,59 @@ def test_integer_valued_float_split_is_a_count(pipeline, tmp_path):
     for split in ("800.0", "8e2"):
         for key in METRIC_KEYS - {"runtime_s"}:
             assert outputs[split][key] == outputs["800"][key]
+
+
+def test_fractional_split_is_a_share_of_the_record(pipeline, tmp_path):
+    outputs = {}
+    for split in ("0.4", "400"):
+        metrics = tmp_path / f"{split}.json"
+        assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                     "--memory", "3", "--rank", "2", "--max-iter", "10",
+                     "--split", split, "--seed", "7",
+                     "--metrics-out", str(metrics)]) == 0
+        outputs[split] = json.loads(metrics.read_text())
+    for key in METRIC_KEYS - {"runtime_s"}:
+        assert outputs["0.4"][key] == outputs["400"][key]
+
+
+def test_priors_flag_reaches_the_saved_model(pipeline, tmp_path):
+    model = tmp_path / "model"
+    assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                 "--memory", "3", "--rank", "2", "--max-iter", "5",
+                 "--priors", "1,2,3,4,5,6e-3", "--out", str(model),
+                 "--metrics-out", str(tmp_path / "metrics.json")]) == 0
+    assert load_manifest(model)["priors"] == {
+        "noise_shape": 1.0, "noise_rate": 2.0, "col_shape": 3.0,
+        "col_rate": 4.0, "row_shape": 5.0, "row_rate": 6e-3,
+    }
+
+
+def test_identify_without_split_scores_the_whole_record(pipeline, tmp_path):
+    # without --split the metrics cover the estimation record itself, from
+    # the first sample after the skipped warm-up
+    model = tmp_path / "model"
+    metrics = tmp_path / "metrics.json"
+    assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                 "--memory", "3", "--rank", "2", "--max-iter", "10",
+                 "--skip-warmup", "5", "--out", str(model),
+                 "--metrics-out", str(metrics)]) == 0
+    dataset = load_csv(pipeline.data)
+    report = evaluate(load_model(model), dataset.u, dataset.y, start=5)
+    scored = json.loads(metrics.read_text())
+    assert scored["rmse"] == report.rmse
+    assert scored["nll"] == report.nll
+
+
+def test_evaluate_skip_warmup_starts_after_the_split(pipeline, tmp_path):
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--model", str(pipeline.model),
+                 "--data", str(pipeline.data), "--split", "800",
+                 "--skip-warmup", "5", "--out", str(out)]) == 0
+    dataset = load_csv(pipeline.data)
+    report = evaluate(load_model(pipeline.model), dataset.u, dataset.y, start=805)
+    scored = json.loads(out.read_text())
+    assert scored["rmse"] == report.rmse
+    assert scored["nll"] == report.nll
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

@@ -552,6 +552,23 @@ def test_truncation_slices_covariances_consistently():
     assert_array_equal(state.factors[0].cov, cov_full[np.ix_(idx, idx)])
 
 
+def test_elbo_computes_log_determinants_that_truncation_dropped():
+    # truncate_rank builds posteriors without cov_logdet, so the bound
+    # falls back to computing it from the sliced covariance
+    U, y = regression_problem(24, n=40, memory=2)
+    state = init_state(2, 2, 3, seed=24)
+    update(state, U, y, 0)
+    update(state, U, y, 1)
+    for f in state.factors:
+        f.mean[:, 0] = 0.0
+    assert truncate_rank(state, 1e-3) is not None
+    assert all(f.cov_logdet is None for f in state.factors)
+    fallback = elbo(state, U, y)
+    for f in state.factors:
+        f.cov_logdet = 2.0 * float(np.log(np.diag(np.linalg.cholesky(f.cov))).sum())
+    assert_allclose(fallback, elbo(state, U, y), rtol=1e-12)
+
+
 def test_truncation_slices_moment_stacks():
     U, y = regression_problem(23, n=40, memory=2)
     state = init_state(2, 2, 4, seed=23)

@@ -53,13 +53,21 @@ def test_factor_second_moments_layout():
 
 
 def test_normalization_record_validation():
-    record = NormalizationRecord.identity()
+    record = NormalizationRecord()
     assert (record.input_min, record.input_max) == (0.0, 1.0)
     assert (record.output_mean, record.output_std) == (0.0, 1.0)
     with pytest.raises(ValueError):
         NormalizationRecord(input_min=1.0, input_max=1.0)
     with pytest.raises(ValueError):
         NormalizationRecord(output_std=0.0)
+
+
+@pytest.mark.parametrize("field", ["input_min", "input_max", "output_mean", "output_std"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_normalization_record_refuses_nonfinite_fields(field, value):
+    # a NaN output_mean used to pass and turn every prediction into NaN
+    with pytest.raises(ValueError, match=f"normalization {field} must be finite"):
+        NormalizationRecord(**{field: value})
 
 
 def test_init_state_is_deterministic():

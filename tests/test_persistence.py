@@ -162,21 +162,75 @@ def test_manifest_sizes_that_are_not_integers_are_rejected(tmp_path, key, value)
         load_model(directory)
 
 
-@pytest.mark.parametrize("shape, message", [
-    ([3.0, 1], "shape entry must be an integer"),
-    ([True, 3], "shape entry must be an integer"),
-    ([3, "1"], "shape entry must be an integer"),
-    ([0, 3], "shape entry must be at least 1"),
-    (3, "shape must be a list"),
-])
-def test_blob_shapes_that_are_not_integers_are_rejected(tmp_path, shape, message):
+def test_blobs_are_found_from_the_sizes_alone(tmp_path):
+    # the blobs list is written for other readers; load derives every
+    # blob's name and shape from order, memory and rank
+    state = random_state(8)
+    directory = save_model(state, tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["blobs"]
+    path.write_text(json.dumps(manifest))
+    back = load_model(directory)
+    for fa, fb in zip(state.factors, back.factors, strict=True):
+        assert_array_equal(fa.mean, fb.mean)
+        assert_array_equal(fa.cov, fb.cov)
+
+
+def test_save_writes_the_blobs_list(tmp_path):
+    state = random_state(8)
+    manifest = load_manifest(save_model(state, tmp_path / "model"))
+    side = state.window * state.rank
+    expected = []
+    for d in range(state.order):
+        expected += [
+            {"file": f"factor{d}_mean.f64", "shape": [state.window, state.rank],
+             "dtype": "<f8"},
+            {"file": f"factor{d}_cov.f64", "shape": [side, side], "dtype": "<f8"},
+        ]
+    assert manifest["blobs"] == expected
+
+
+@pytest.mark.parametrize("key", ["input_min", "input_max", "output_mean", "output_std"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_normalization_is_rejected(tmp_path, key, value):
     directory = save_model(random_state(8), tmp_path / "model")
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["blobs"][0]["shape"] = shape
+    manifest["normalization"][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"normalization {key} must be finite"):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_row_prec_fixed_that_is_not_a_boolean_is_rejected(tmp_path, value):
+    # bool() used to read the string "false" as True
+    directory = save_model(random_state(8), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["row_prec_fixed"] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError,
-                       match=f"manifest.json: blob factor0_mean.f64 {message}"):
+                       match="manifest.json: row_prec_fixed must be a boolean"):
+        load_model(directory)
+
+
+# random_state's rank and window are both below 7
+@pytest.mark.parametrize("group, part, value", [
+    ("noise", "shape", [1.0]),
+    ("col_prec", "rate", 2.0),
+    ("col_prec", "shape", [1.0] * 7),
+    ("row_prec", "shape", [1.0] * 7),
+    ("row_prec", "rate", [[1.0]]),
+])
+def test_gamma_parameters_of_the_wrong_shape_are_rejected(tmp_path, group, part, value):
+    directory = save_model(random_state(9), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["posteriors"][group][part] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"manifest.json: {group} {part} has shape"):
         load_model(directory)
 
 

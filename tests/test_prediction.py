@@ -239,12 +239,14 @@ def test_evaluate_reports_original_units():
 
 
 def test_evaluate_skip_drops_leading_samples():
+    # skipping warm-up samples is a later start; the scored windows still
+    # see the skipped input as their past
     rng = np.random.default_rng(5)
     u = rng.uniform(0.0, 1.0, 50)
     y = rng.standard_normal(50)
     state, _ = fitted_state(seed=5, n=50, memory=4)
     full = evaluate(state, u, y)
-    skipped = evaluate(state, u, y, skip=10)
+    skipped = evaluate(state, u, y, start=10)
     assert skipped.locations.shape == (40,)
     assert_allclose(skipped.locations, full.locations[10:], rtol=1e-14)
     with pytest.raises(ValueError):
