@@ -122,12 +122,45 @@ def _read_blob(path, shape):
     return array
 
 
+def _number(manifest_path, name, value):
+    """A value stored in the manifest as a JSON number: an int or a float.
+
+    Booleans, strings and null are refused rather than converted, so
+    `true` cannot load as 1.0 nor "0.5" as 0.5.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{manifest_path}: {name} must be a number, "
+                               f"got {value!r}")
+    return value
+
+
+def _numbers(manifest_path, name, value):
+    """A JSON number or a (nested) list of them; the shape is checked later."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(manifest_path, f"{name}[{i}]", item)
+        return value
+    return _number(manifest_path, name, value)
+
+
+def _fields(manifest_path, manifest, group):
+    """The manifest object `group`, each of whose values is a JSON number."""
+    fields = manifest[group]
+    if not isinstance(fields, dict):
+        raise ModelFormatError(f"{manifest_path}: {group} must be an object")
+    for key, value in fields.items():
+        _number(manifest_path, f"{group}.{key}", value)
+    return fields
+
+
 def _gamma(manifest_path, posteriors, name, shape):
     """The stored Gamma posterior `name`: shape and rate parameters of
     array shape `shape` (a scalar when empty), positive and finite."""
     parts = []
     for part in ("shape", "rate"):
-        values = np.asarray(posteriors[name][part], dtype=float)
+        raw = _numbers(manifest_path, f"posteriors.{name}.{part}",
+                       posteriors[name][part])
+        values = np.asarray(raw, dtype=float)
         if values.shape != shape:
             raise ModelFormatError(f"{manifest_path}: {name} {part} has shape "
                                    f"{list(values.shape)}, expected {list(shape)}")
@@ -143,9 +176,10 @@ def load_model(directory):
 
     The sizes alone fix every blob: factor{d}_mean.f64 is (memory + 1) x
     rank and factor{d}_cov.f64 is square of side (memory + 1) * rank. A
-    malformed size, flag, normalization record or Gamma posterior, a
-    non-finite blob, or a covariance that is not symmetric positive
-    definite raises a ModelFormatError naming the file.
+    malformed size, flag, prior, normalization record or Gamma posterior
+    (a number stored as a boolean or a string among them), a non-finite
+    blob, or a covariance that is not symmetric positive definite raises
+    a ModelFormatError naming the file.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -154,14 +188,15 @@ def load_model(directory):
         order, memory, rank = (_size(manifest_path, name, manifest[name])
                                for name in ("order", "memory", "rank"))
         window = memory + 1
-        priors = PriorConfig(**manifest["priors"])
-        normalization = NormalizationRecord(**manifest["normalization"])
+        priors = PriorConfig(**_fields(manifest_path, manifest, "priors"))
+        normalization = NormalizationRecord(
+            **_fields(manifest_path, manifest, "normalization"))
         posteriors = manifest["posteriors"]
         noise = _gamma(manifest_path, posteriors, "noise", ())
         col_prec = _gamma(manifest_path, posteriors, "col_prec", (rank,))
         row_prec = _gamma(manifest_path, posteriors, "row_prec", (window,))
         row_prec_fixed = manifest["row_prec_fixed"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
     if not isinstance(row_prec_fixed, bool):
         raise ModelFormatError(f"{manifest_path}: row_prec_fixed must be a boolean, "

@@ -6,6 +6,14 @@ variance comes from the same packed window square and covariance
 coefficients as the fit's second moments, a block of windows at a time.
 predict is the whole path from a raw input record to original output
 units, and evaluate scores it with the array metrics rmse and nll.
+
+nll evaluates the Student-t log density in closed form: with
+z = (y - loc)/scale,
+
+    ln poch(dof/2, 1/2) - (ln dof + ln pi)/2
+        - (dof + 1)/2 ln(1 + z^2/dof) - ln scale,
+
+where poch(a, 1/2) = Gamma(a + 1/2)/Gamma(a).
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import poch
 
 from .data import normalize_input
 from .features import (
@@ -93,9 +101,25 @@ def rmse(y, locations):
 
 
 def nll(y, locations, scales, dof):
-    """Mean negative log Student-t predictive density at the observed outputs."""
+    """Mean negative log Student-t predictive density at the observed outputs.
+
+    The log density at y is ln poch(dof/2, 1/2) - (ln dof + ln pi)/2
+    - (dof + 1)/2 ln(1 + z^2/dof) - ln scale, with z = (y - loc)/scale.
+    The ratio of gamma functions comes from one poch call: a difference of
+    log-gammas cancels at large dof. A dof or a scale that is not positive
+    and finite raises ValueError.
+    """
     y, locations = _paired(y, locations)
-    return float(-np.mean(stats.t.logpdf(y, df=dof, loc=locations, scale=scales)))
+    scales = np.asarray(scales, dtype=float)
+    dof = float(dof)
+    if not (np.isfinite(dof) and dof > 0):
+        raise ValueError(f"dof must be positive and finite, got {dof!r}")
+    if not (np.isfinite(scales).all() and (scales > 0).all()):
+        raise ValueError("scales must be positive and finite")
+    z = (y - locations) / scales
+    logpdf = (np.log(poch(0.5 * dof, 0.5)) - 0.5 * (np.log(dof) + np.log(np.pi))
+              - (dof + 1) / 2 * np.log1p(z * z / dof) - np.log(scales))
+    return float(-np.mean(logpdf))
 
 
 @dataclass

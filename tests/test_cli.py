@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,4 +404,27 @@ def test_simulate_announces_the_output(tmp_path, capsys):
     assert main(["simulate", "--order", "1", "--memory", "2", "--rank", "1",
                  "--n", "50", "--seed", "1", "--out", str(out)]) == 0
     assert f"wrote 50 samples to {out}" in capsys.readouterr().out
+    assert out.is_file()
+
+
+IMPORT_PROBE = """
+import json, sys
+import bayesvolterra, bayesvolterra.cli
+code = bayesvolterra.cli.main(["simulate", "--order", "2", "--memory", "3",
+                               "--n", "200", "--out", sys.argv[1]])
+print(json.dumps({"code": code,
+                  "stats": sorted(m for m in sys.modules if m.startswith("scipy.stats"))}))
+"""
+
+
+def test_import_path_has_no_scipy_stats(tmp_path):
+    # scipy.stats costs most of a cold CLI call; the package needs only
+    # scipy.linalg and scipy.special
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "sim.csv"
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(out)],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, check=True)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"code": 0, "stats": []}
     assert out.is_file()

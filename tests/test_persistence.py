@@ -1,6 +1,7 @@
 """Model directory round trips and format validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,4 +254,64 @@ def test_nonpositive_gamma_parameters_are_rejected(tmp_path, group, part, value)
         stored[part] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match=f"manifest.json: {group} {part}"):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("path, field", [
+    (("priors", "col_rate"), "priors.col_rate"),
+    (("priors", "noise_shape"), "priors.noise_shape"),
+    (("normalization", "output_mean"), "normalization.output_mean"),
+    (("normalization", "input_max"), "normalization.input_max"),
+    (("posteriors", "noise", "shape"), "posteriors.noise.shape"),
+    (("posteriors", "col_prec", "rate", 0), "posteriors.col_prec.rate[0]"),
+    (("posteriors", "row_prec", "shape", 1), "posteriors.row_prec.shape[1]"),
+])
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_manifest_numbers_that_are_not_json_numbers_are_rejected(tmp_path, path, field,
+                                                                 value):
+    # np.asarray(..., dtype=float) read true as 1.0, and PriorConfig read
+    # "0.5" as 0.5
+    directory = save_model(random_state(9), tmp_path / "model")
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    target = manifest
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError,
+                       match=rf"manifest.json: {re.escape(field)} must be a number"):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("group", ["priors", "normalization"])
+def test_manifest_scalar_fields_that_are_lists_are_rejected(tmp_path, group):
+    directory = save_model(random_state(9), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    key = next(iter(manifest[group]))
+    manifest[group][key] = [manifest[group][key]]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"manifest.json: {group}.{key} must be a number"):
+        load_model(directory)
+
+
+@pytest.mark.parametrize("group", ["priors", "normalization"])
+def test_manifest_groups_that_are_not_objects_are_rejected(tmp_path, group):
+    directory = save_model(random_state(9), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[group] = list(manifest[group].values())
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"manifest.json: {group} must be an object"):
+        load_model(directory)
+
+
+def test_prior_too_large_for_a_float_is_rejected(tmp_path):
+    directory = save_model(random_state(9), tmp_path / "model")
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["priors"]["row_rate"] = 10 ** 400
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match="malformed manifest"):
         load_model(directory)

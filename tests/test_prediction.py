@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 from scipy.special import gammaln
 
 from bayesvolterra import (
@@ -123,6 +124,29 @@ def test_nll_gaussian_limit():
     scale = float(np.sqrt((dof - 2.0) / dof))  # unit predictive variance
     value = nll(np.zeros(1), np.zeros(1), np.array([scale]), dof)
     assert abs(value - GAUSS_CONST) < 1e-3
+
+
+@pytest.mark.parametrize("dof", [2.5, 10.0, 1e3, 1e6, 1e8])
+def test_nll_equals_scipy_student_t(dof):
+    rng = np.random.default_rng(17)
+    y = 3.0 * rng.standard_normal(4000)
+    locations = rng.standard_normal(4000)
+    scales = rng.uniform(0.05, 4.0, 4000)
+    expected = -np.mean(stats.t.logpdf(y, df=dof, loc=locations, scale=scales))
+    assert_allclose(nll(y, locations, scales, dof), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("dof", [float("nan"), float("inf"), -float("inf"), 0.0, -3.0])
+def test_nll_rejects_dof_that_is_not_positive_and_finite(dof):
+    # scipy.stats returned NaN for these, and scored dof = inf as a Gaussian
+    with pytest.raises(ValueError, match="dof"):
+        nll(np.zeros(2), np.zeros(2), np.ones(2), dof)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_nll_rejects_scales_that_are_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="scales"):
+        nll(np.zeros(2), np.zeros(2), np.array([1.0, bad]), 5.0)
 
 
 def test_nll_grows_with_scale_at_the_mode():
