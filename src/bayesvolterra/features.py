@@ -16,6 +16,13 @@ packed product. The expected residual takes the product of all modes'
 stacks, which the caller forms. Each reduction over samples has one
 implementation, a dense product or sum; a fit repeats bit for bit at a
 fixed seed and BLAS thread count.
+
+The kernels make no gathers of full size. block_quadratics reads the
+covariance one band of column pairs (r, s >= r) at a time through views,
+expected_gram writes each pair's I x I block straight into its output,
+and second_moments adds the plug-in products to the quadratic forms one
+band at a time, so beyond its (R(R+1)/2, N) output it holds only O(R N)
+and O(R(R+1)/2 I(I+1)/2) scratch.
 """
 
 from __future__ import annotations
@@ -135,19 +142,23 @@ def block_quadratics(cov, rank, window):
     C_rs is the I x I block of the (R*I, R*I) covariance coupling columns
     r and s (column index slow), for the pair (r, s) = moment_pairs(R)[p].
     The result is (R(R+1)/2, I(I+1)/2): C_rs[i, j] + C_rs[j, i] for the
-    window pair i < j, and C_rs[i, i] on the diagonal.
+    window pair i < j, and C_rs[i, i] on the diagonal. The rows are built
+    one band of equal r at a time, from a view of the covariance's blocks
+    (r, s >= r), so no (R(R+1)/2, I, I) copy of the blocks is made.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (window * rank, window * rank):
         raise ValueError(f"covariance shape {cov.shape} does not match "
                          f"rank {rank} and window {window}")
-    r, s = moment_pairs(rank)
-    # the (r, s) blocks with r <= s, one flattened block per row
-    blocks = cov.reshape(rank, window, rank, window)[r, :, s, :]
-    blocks = blocks.reshape(r.size, window * window)
+    blocks = cov.reshape(rank, window, rank, window)
     i, j = np.triu_indices(window)
-    out = np.take(blocks, i * window + j, axis=1)
-    out += np.take(blocks, j * window + i, axis=1)
+    out = np.empty((rank * (rank + 1) // 2, i.size))
+    row = 0
+    for r in range(rank):
+        # the blocks (r, s) for s >= r, as an (R - r, I, I) view
+        band = blocks[r, :, r:, :].transpose(1, 0, 2)
+        np.add(band[:, i, j], band[:, j, i], out=out[row:row + rank - r])
+        row += rank - r
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
     out[:, i == j] *= 0.5
     return out
@@ -168,7 +179,9 @@ def second_moments(U, mean, cov, uu):
     sample n, where C_{rs} is the I x I block of the covariance coupling
     columns r and s (column index slow). The quadratic forms are
     block_quadratics(cov) @ uu, with `uu` the packed window square
-    window_pairs(U).
+    window_pairs(U); that product is the output, and the plug-in products
+    are added to it one band of equal r at a time, so no other array of
+    the output's size is made.
     """
     mean = np.asarray(mean, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -176,11 +189,12 @@ def second_moments(U, mean, cov, uu):
     if U.shape[0] != window:
         raise ValueError(f"window matrix has {U.shape[0]} rows, mean expects {window}")
     _check_pairs(U, uu)
-    coefs = block_quadratics(cov, rank, window)
-    r, s = moment_pairs(rank)
+    out = block_quadratics(cov, rank, window) @ uu
     proj = mean.T @ U
-    out = proj[r] * proj[s]
-    out += coefs @ uu
+    row = 0
+    for r in range(rank):
+        out[row:row + rank - r] += proj[r] * proj[r:]
+        row += rank - r
     return out
 
 
@@ -195,7 +209,8 @@ def expected_gram(U, weights, uu):
     of an I x I block is computed once, for r <= s and i <= j, and placed
     at (i, j) and (j, i) of the block, which goes to both (r, s) and
     (s, r): the block is its own transpose, so the Gram is exactly
-    symmetric.
+    symmetric. The blocks are written straight into the output, one
+    column pair at a time, so the result is the only (R*I)^2 array made.
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -207,14 +222,13 @@ def expected_gram(U, weights, uu):
     _check_pairs(U, uu)
     flat = weights @ uu.T
     i, j = np.triu_indices(window)
-    blocks = np.empty((flat.shape[0], window * window))
-    blocks[:, i * window + j] = flat
-    blocks[:, j * window + i] = flat
-    blocks = blocks.reshape(flat.shape[0], window, window)
-    r, s = moment_pairs(rank)
     gram = np.empty((rank, window, rank, window))
-    gram[r, :, s, :] = blocks
-    gram[s, :, r, :] = blocks
+    for p, (r, s) in enumerate(zip(*moment_pairs(rank))):
+        block = gram[r, :, s, :]
+        block[i, j] = flat[p]
+        block[j, i] = flat[p]
+        if r != s:
+            gram[s, :, r, :] = block
     return gram.reshape(rank * window, rank * window)
 
 

@@ -13,13 +13,21 @@ sweep. Rank truncation runs once per sweep after the bound is recorded,
 so every trace entry describes a state of fixed rank; it returns the kept
 columns, to whose pairs the stacks are sliced. Only a truncation in the
 last sweep calls for one more residual and noise update.
-A factor update factors its exactly symmetric precision once: two
-triangular solves give the mean, and LAPACK dpotri the covariance.
+
+A factor update allocates one (R*I)^2 array, its precision, and factors
+that exactly symmetric matrix once, in place: two triangular solves give
+the mean, and LAPACK dpotri overwrites the factor with the covariance.
+identify drops a mode's old covariance before its update, so a fit holds
+D - 1 covariances and that one buffer; it slices the stacks one at a time
+at a truncation and forms the residual's product in place on the last
+cross weights. Both numerical fallbacks, the Cholesky jitter retry and
+the clamp of a negative expected residual, warn with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,34 +109,48 @@ class FitTrace:
 
 
 def _solve_spd(matrix, rhs, label):
-    """Solve with a symmetric PD matrix via one Cholesky factor.
+    """Solve with a symmetric PD matrix via one Cholesky factor, in place.
 
     Returns (inverse, solution, logdet): the inverse from LAPACK dpotri,
     exactly symmetric; matrix^-1 rhs from two triangular solves; and
-    log det(matrix). One jitter retry (1e-10 times the mean diagonal
-    magnitude) before giving up with a NumericFailure. The matrix is not
-    scanned for non-finite entries (an O(size^2) pass); a factor with a
-    non-finite diagonal raises NumericFailure instead.
+    log det(matrix). `matrix` must be a C-order float array that is
+    exactly symmetric, and it is consumed: its transpose, the same matrix
+    in Fortran order, is factored in place, dpotri overwrites the factor,
+    and the returned inverse is that memory. If the factor fails, the
+    matrix is restored from the triangle potrf left untouched and a saved
+    diagonal, and factored once more with a jitter of 1e-10 times the mean
+    diagonal magnitude added, which warns with a RuntimeWarning; a second
+    failure raises NumericFailure. The matrix is not scanned for
+    non-finite entries (an O(size^2) pass); a factor with a non-finite
+    diagonal raises NumericFailure instead.
     """
     size = matrix.shape[0]
+    diagonal = np.diag(matrix).copy()
     try:
-        factor = cho_factor(matrix, lower=True, check_finite=False)
+        factor = cho_factor(matrix.T, lower=True, overwrite_a=True,
+                            check_finite=False)
     except np.linalg.LinAlgError:
-        jitter = 1e-10 * float(np.trace(matrix)) / size
-        shifted = matrix.copy()
-        shifted[np.diag_indices(size)] += jitter
+        jitter = 1e-10 * float(diagonal.sum()) / size
+        # potrf wrote the lower triangle of the transpose, which is the
+        # upper one of `matrix`; its strict lower triangle is intact
+        _mirror_lower(matrix)
+        matrix[np.diag_indices(size)] = diagonal + jitter
         try:
-            factor = cho_factor(shifted, lower=True, check_finite=False)
+            factor = cho_factor(matrix.T, lower=True, overwrite_a=True,
+                                check_finite=False)
         except np.linalg.LinAlgError as err:
             raise NumericFailure(
                 f"{label}: Cholesky failed twice (jitter {jitter:.3e})"
             ) from err
+        warnings.warn(f"{label}: Cholesky succeeded only with jitter "
+                      f"{jitter:.3e} added to the diagonal", RuntimeWarning,
+                      stacklevel=2)
     # a NaN in the matrix can reach the factor without a LinAlgError; every
     # entry of the factor feeds its diagonal
-    diagonal = np.diag(factor[0])
-    if not np.isfinite(diagonal).all():
+    pivots = np.diag(factor[0])
+    if not np.isfinite(pivots).all():
         raise NumericFailure(f"{label}: Cholesky factor is not finite")
-    logdet = 2.0 * float(np.log(diagonal).sum())
+    logdet = 2.0 * float(np.log(pivots).sum())
     solution = cho_solve(factor, rhs, check_finite=False)
     inverse, info = dpotri(factor[0], lower=1, overwrite_c=1)
     if info != 0:
@@ -136,16 +158,16 @@ def _solve_spd(matrix, rhs, label):
                              f"(info {info})")
     _mirror_lower(inverse)
     # exactly symmetric, so the transpose is the same matrix; it turns
-    # dpotri's Fortran-order array into a C-order view without a copy
+    # dpotri's Fortran-order array back into the C-order buffer
     return inverse.T, solution, logdet
 
 
 def _mirror_lower(matrix):
     """Copy the strict lower triangle onto the upper one, in place, in bands
-    of 256 rows, so no index array grows with the square of the size."""
+    of 64 rows, so no index array grows with the square of the size."""
     size = matrix.shape[0]
-    for start in range(0, size, 256):
-        stop = min(start + 256, size)
+    for start in range(0, size, 64):
+        stop = min(start + 64, size)
         diagonal = matrix[start:stop, start:stop]
         upper = np.triu_indices(stop - start, 1)
         diagonal[upper] = diagonal.T[upper]
@@ -178,15 +200,20 @@ def update_factor(state, U, y, mode, weights, uu):
     `weights` are the cross weights of `mode`, the stack_product of the
     other modes' second_moments stacks, and `uu` is the packed window
     square window_pairs(U). The expected Gram is exactly symmetric, so the
-    precision is too. The new posterior is assigned into the state and
-    returned.
+    precision is too. The precision is the only (R*I)^2 array the update
+    allocates: it is scaled and shifted in place, _solve_spd factors it in
+    place, and its memory becomes the new covariance. The update reads
+    only the factor means of the state, not the old covariance of `mode`,
+    which the caller may drop first. The new posterior is assigned into
+    the state and returned.
     """
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     window = U.shape[0]
     rank = state.rank
     tau = float(state.noise.mean)
-    # scaled in place, so no second (R*I)^2 array is made
+    # scaled in place and consumed by _solve_spd, so no second (R*I)^2
+    # array is made
     precision = expected_gram(U, weights, uu)
     precision *= tau
     precision[np.diag_indices_from(precision)] += prior_precision(state)
@@ -247,7 +274,12 @@ def update_col_precisions(state):
 def update_noise_precision(state, n_samples, resid):
     """Gamma update of the noise precision from N and the expected residual
     `resid` at the current factor posteriors: shape prior + N/2, rate
-    prior + resid/2 (a negative round-off residual counts as zero)."""
+    prior + resid/2. A negative residual, which only round-off can give,
+    counts as zero and warns with a RuntimeWarning."""
+    if resid < 0:
+        warnings.warn(f"expected residual {resid:.3e} is negative; "
+                      "clamped to zero in the noise update", RuntimeWarning,
+                      stacklevel=2)
     posterior = GammaPosterior(
         float(state.priors.noise_shape + 0.5 * n_samples),
         float(state.priors.noise_rate + 0.5 * max(resid, 0.0)),
@@ -327,10 +359,10 @@ def truncate_rank(state, threshold):
     A column survives if its RMS, relative to the largest column RMS of
     the same factor, reaches the threshold in at least one factor. At
     least one column is always retained; matching column-precision entries
-    and covariance blocks are removed with the columns. Returns `keep`, the
-    sorted kept column indices, or None when the rank did not change; a
-    packed moment stack m of an old factor is m[kept_pairs(keep, R)] for
-    the new, R being the old rank.
+    and covariance blocks are removed with the columns, one factor at a
+    time. Returns `keep`, the sorted kept column indices, or None when the
+    rank did not change; a packed moment stack m of an old factor is
+    m[kept_pairs(keep, R)] for the new, R being the old rank.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -348,10 +380,9 @@ def truncate_rank(state, threshold):
         return None
     window = state.window
     idx = (keep[:, None] * window + np.arange(window)[None, :]).ravel()
-    state.factors = [
-        FactorPosterior(mean=f.mean[:, keep], cov=f.cov[np.ix_(idx, idx)])
-        for f in state.factors
-    ]
+    for d, f in enumerate(state.factors):
+        state.factors[d] = FactorPosterior(mean=f.mean[:, keep],
+                                           cov=f.cov[np.ix_(idx, idx)])
     state.col_prec = GammaPosterior(
         np.asarray(state.col_prec.shape, dtype=float)[keep].copy(),
         np.asarray(state.col_prec.rate, dtype=float)[keep].copy(),
@@ -366,8 +397,11 @@ def identify(U, y, config, priors=None, normalization=None):
     units. Each sweep updates every factor, then the lag precisions
     (unless disabled), the column precisions, and the noise precision and
     the bound from one expected residual, records the bound, and finally
-    truncates the rank, slicing the moment stacks. The residual's product
-    of all D stacks is the last mode's cross weights times its new stack.
+    truncates the rank, slicing the moment stacks one at a time. A mode's
+    old covariance is dropped before its update, which does not read it.
+    The residual's product of all D stacks is the last mode's cross
+    weights times its new stack, formed in place on the weights unless
+    they are another mode's stack (D=2).
     The loop stops when the relative bound change at fixed rank drops
     below elbo_rel_tol or max_iter is reached. Only when the last sweep
     truncated is the noise posterior refreshed on the kept columns;
@@ -405,6 +439,9 @@ def identify(U, y, config, priors=None, normalization=None):
             for d in range(state.order):
                 weights = stack_product(moments[:d] + moments[d + 1:],
                                         state.rank, y.size)
+                # drop mode d's covariance, which its update does not read,
+                # so the fit holds D - 1 covariances beside the update's buffer
+                state.factors[d].cov = None
                 posterior = update_factor(state, U, y, d, weights, uu)
                 # drop the spent stack, and the cross weights unless the
                 # residual needs them, before the new stack is built
@@ -412,9 +449,13 @@ def identify(U, y, config, priors=None, normalization=None):
                 if d < last:
                     del weights
                 moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
-            # the last mode's cross weights times its new stack: all D modes
-            resid = expected_residual(U, y, state.factor_means,
-                                      weights * moments[last])
+            # the last mode's cross weights times its new stack: all D
+            # modes, in place unless the weights are mode 0's stack (D=2)
+            if weights is moments[0]:
+                weights = weights * moments[last]
+            else:
+                weights *= moments[last]
+            resid = expected_residual(U, y, state.factor_means, weights)
             del weights
             if config.lag_sparsity:
                 update_row_precisions(state)
@@ -429,9 +470,11 @@ def identify(U, y, config, priors=None, normalization=None):
         rank = state.rank
         keep = truncate_rank(state, config.truncation_threshold)
         if keep is not None:
-            # rank changed: slice the stacks and restart the convergence window
+            # rank changed: slice the stacks, one at a time, and restart
+            # the convergence window
             rows = kept_pairs(keep, rank)
-            moments = [m[rows] for m in moments]
+            for k in range(len(moments)):
+                moments[k] = moments[k][rows]
             previous = None
             continue
         if previous is not None and abs(bound - previous) < (

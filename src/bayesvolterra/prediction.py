@@ -3,7 +3,10 @@
 predictive_arrays gives model-unit locations, squared scales and dof for a
 window matrix; one window u_n is the column U[:, [n]]. Its parameter
 variance comes from the same packed window square and covariance
-coefficients as the fit's second moments, a block of windows at a time.
+coefficients as the fit's second moments, a block of windows at a time;
+the coefficients are scaled in place, so beyond the model the only
+large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per factor
+and one block's window square.
 predict is the whole path from a raw input record to original output
 units, and evaluate scores it with the array metrics rmse and nll.
 
@@ -46,7 +49,7 @@ def predictive_arrays(state, U):
     over the column pairs r <= s as (2 - delta_rs) h_r h_s q_rs, where
     q_rs = u_n' C_rs u_n comes from block_quadratics(Sigma_d) and
     window_pairs of SCORE_BLOCK windows at a time; dof is twice the noise
-    shape.
+    shape. The coefficients are scaled by 2 - delta_rs in place.
     """
     U = np.asarray(U, dtype=float)
     means = state.factor_means
@@ -54,8 +57,10 @@ def predictive_arrays(state, U):
     scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
-    coefs = [twice * block_quadratics(f.cov, state.rank, state.window)
+    coefs = [block_quadratics(f.cov, state.rank, state.window)
              for f in state.factors]
+    for c in coefs:
+        c *= twice
     for start in range(0, U.shape[1], SCORE_BLOCK):
         block = U[:, start:start + SCORE_BLOCK]
         uu = window_pairs(block)
@@ -63,6 +68,8 @@ def predictive_arrays(state, U):
             h = column_products(block, means, skip=d)
             scale_sq[start:start + block.shape[1]] += (
                 (h[r] * h[s]) * (c @ uu)).sum(axis=0)
+        # free this block's square before the next one is built
+        del uu
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 

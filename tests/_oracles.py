@@ -7,10 +7,12 @@ of their R x R stacks, the variational linear regression runs on plain
 numpy inverses, the CSV reference reads and writes one row at a time
 through the csv module, and the synthetic systems and random model states
 are assembled through the public API with fixed seeds. Tests compare the
-package against these references.
+package against these references. traced_peak measures the memory a call
+allocates, for the guards on the kernels' scratch.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -308,3 +310,16 @@ def reference_write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def traced_peak(call):
+    """Peak bytes that `call()` holds above what was allocated before it,
+    as tracemalloc sees them (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

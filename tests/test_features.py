@@ -31,6 +31,7 @@ from _oracles import (
     full_expected_gram,
     full_second_moments,
     monomial_vector,
+    traced_peak,
     unpack,
 )
 
@@ -404,8 +405,29 @@ def test_block_quadratics_match_the_full_blocks():
     assert coefs.shape == (r.size, window * (window + 1) // 2)
     assert_allclose(coefs @ window_pairs(U),
                     full[r * rank + s] @ khatri_rao(U, U), rtol=1e-12)
+    # and entry by entry, exactly
+    for p in range(r.size):
+        block = blocks[r[p], :, s[p], :]
+        for q, (i, j) in enumerate(zip(*np.triu_indices(window))):
+            assert coefs[p, q] == (block[i, i] if i == j
+                                   else block[i, j] + block[j, i])
     with pytest.raises(ValueError, match="covariance shape"):
         block_quadratics(cov, rank, window + 1)
+
+
+def test_second_moments_allocate_only_their_output_beyond_small_scratch():
+    # beyond the (R(R+1)/2, N) output, O(R N + R(R+1)/2 I(I+1)/2) scratch:
+    # no gathered covariance blocks and no second stack-sized array
+    rng = np.random.default_rng(23)
+    rank, window, n = 8, 61, 400
+    U = build_lagged_matrix(rng.uniform(0.0, 1.0, n), window - 1)
+    uu = window_pairs(U)
+    mean = rng.standard_normal((window, rank))
+    cov = random_psd(rng, rank * window)
+    pairs = rank * (rank + 1) // 2
+    small = pairs * (window * (window + 1) // 2) + rank * n
+    peak = traced_peak(lambda: second_moments(U, mean, cov, uu))
+    assert peak <= 8 * (pairs * n + 2 * small)
 
 
 def test_expected_gram_is_exactly_symmetric():

@@ -40,7 +40,13 @@ from bayesvolterra import (
 from bayesvolterra import inference
 from bayesvolterra.inference import stack_product
 
-from _oracles import full_second_moments, make_rank2_data, unpack, vb_linear_oracle
+from _oracles import (
+    full_second_moments,
+    make_rank2_data,
+    traced_peak,
+    unpack,
+    vb_linear_oracle,
+)
 
 
 def regression_problem(seed, n=200, memory=5, noise=0.1):
@@ -197,9 +203,10 @@ def spd_problem(seed, size=40):
 
 @pytest.mark.parametrize("size", [1, 7, 40, 600])
 def test_solve_spd_matches_dense_linear_algebra(size):
-    # 600 spans more than one band of the lower-to-upper copy
+    # 600 spans more than one band of the lower-to-upper copy; the solver
+    # consumes its argument, so it gets a copy
     matrix, rhs = spd_problem(size, size)
-    inverse, solution, logdet = inference._solve_spd(matrix, rhs, "test")
+    inverse, solution, logdet = inference._solve_spd(matrix.copy(), rhs, "test")
     assert np.array_equal(inverse, inverse.T)
     assert_allclose(inverse, np.linalg.inv(matrix), rtol=1e-10,
                     atol=1e-12 * np.abs(inverse).max())
@@ -215,13 +222,45 @@ def test_solve_spd_retries_a_singular_psd_matrix_with_jitter():
     matrix = root @ root.T  # rank 3, so the first Cholesky fails
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(matrix)
-    inverse, solution, logdet = inference._solve_spd(matrix, np.ones(6), "test")
     jitter = 1e-10 * float(np.trace(matrix)) / 6
+    with pytest.warns(RuntimeWarning, match=f"test: .* jitter {jitter:.3e}"):
+        inverse, solution, logdet = inference._solve_spd(matrix.copy(),
+                                                         np.ones(6), "test")
     shifted = matrix + jitter * np.eye(6)
     assert np.array_equal(inverse, inverse.T)
     assert_allclose(inverse @ shifted, np.eye(6), atol=1e-4)
     assert_allclose(logdet, np.linalg.slogdet(shifted)[1], rtol=1e-6)
     assert np.isfinite(solution).all()
+
+
+def test_solve_spd_returns_the_inverse_in_the_argument():
+    matrix, rhs = spd_problem(33, 50)
+    expected = np.linalg.inv(matrix)
+    buffer = matrix.copy()
+    inverse, _, _ = inference._solve_spd(buffer, rhs, "test")
+    assert np.shares_memory(inverse, buffer)
+    assert inverse.flags.c_contiguous
+    assert np.array_equal(buffer, inverse)
+    assert_allclose(inverse, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("size", [6, 300])
+def test_solve_spd_retry_restores_a_matrix_that_failed_at_its_last_pivot(size):
+    # L L' with a unit-diagonal integer L whose last pivot is 0: every step
+    # of the factor is exact, so potrf overwrites all of the triangle but
+    # the last pivot before it fails there
+    rng = np.random.default_rng(size)
+    root = np.tril(rng.integers(-1, 2, (size, size)), -1).astype(float)
+    root[np.diag_indices(size - 1)] = 1.0
+    matrix = root @ root.T
+    assert matrix[-1, -1] > 0
+    rhs = rng.standard_normal(size)
+    jitter = 1e-10 * float(np.trace(matrix)) / size
+    with pytest.warns(RuntimeWarning, match=f"test: .* jitter {jitter:.3e}"):
+        retried = inference._solve_spd(matrix.copy(), rhs, "test")
+    fresh = inference._solve_spd(matrix + jitter * np.eye(size), rhs, "test")
+    for got, want in zip(retried, fresh, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_solve_spd_refuses_an_indefinite_matrix():
@@ -316,6 +355,28 @@ def test_noise_update_shape_increment():
     state = init_state(1, 2, 1, seed=5)
     posterior = noise_update(state, U, y)
     assert posterior.shape == state.priors.noise_shape + 5.0
+
+
+def test_noise_update_clamps_a_negative_residual_with_a_warning():
+    state = init_state(1, 2, 1, seed=5)
+    with pytest.warns(RuntimeWarning, match=r"-1\.000e-12 is negative; clamped"):
+        posterior = update_noise_precision(state, 10, -1e-12)
+    assert posterior.rate == state.priors.noise_rate
+    assert posterior.shape == state.priors.noise_shape + 5.0
+
+
+def test_update_factor_allocates_one_covariance_sized_array():
+    # beyond the state, the precision is the only (R*I)^2 array; the rest
+    # is O(R(R+1)/2 I(I+1)/2 + R N) scratch
+    rank, memory, n = 8, 60, 400
+    window = memory + 1
+    U, y = regression_problem(41, n=n, memory=memory)
+    state = init_state(2, memory, rank, seed=41)
+    uu = window_pairs(U)
+    weights = second_moments(U, state.factors[1].mean, state.factors[1].cov, uu)
+    small = (rank * (rank + 1) // 2) * (window * (window + 1) // 2) + rank * n
+    peak = traced_peak(lambda: update_factor(state, U, y, 0, weights, uu))
+    assert peak <= 8 * ((rank * window) ** 2 + 2 * small)
 
 
 def test_noise_update_on_a_perfect_fit():

@@ -22,7 +22,7 @@ from bayesvolterra import (
 )
 from bayesvolterra.prediction import SCORE_BLOCK
 
-from _oracles import student_t_oracle, vb_linear_oracle
+from _oracles import student_t_oracle, traced_peak, vb_linear_oracle
 
 GAUSS_CONST = 0.5 * np.log(2.0 * np.pi)
 
@@ -208,6 +208,21 @@ def test_predictive_arrays_across_block_edges():
             expected[col] += g @ f.cov @ g
     assert_allclose(scale_sq, expected, rtol=1e-12)
     assert dof == 6.0
+
+
+def test_predictive_arrays_hold_one_block_square_at_a_time():
+    # beyond the state: one coefficient array per factor and the window
+    # square of one block, plus O(R(R+1)/2 I(I+1)/2 + R N) scratch
+    order, rank, memory, n = 2, 4, 60, 3 * SCORE_BLOCK + 50
+    window = memory + 1
+    rng = np.random.default_rng(24)
+    U = build_lagged_matrix(rng.uniform(0.0, 1.0, n), memory)
+    state = init_state(order, memory, rank, seed=24)
+    pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
+    small = pairs * squares + (pairs + rank) * SCORE_BLOCK + rank * n
+    peak = traced_peak(lambda: predictive_arrays(state, U))
+    assert peak <= 8 * (order * pairs * squares + SCORE_BLOCK * squares
+                        + 2 * small)
 
 
 def test_predict_maps_to_original_units():
