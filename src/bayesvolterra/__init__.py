@@ -36,6 +36,7 @@ from .features import (
     expected_output,
     expected_residual,
     kept_pairs,
+    lag_blocks,
     moment_pairs,
     second_moments,
     window_pairs,

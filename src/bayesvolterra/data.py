@@ -7,7 +7,11 @@ write_csv is the one CSV writer, for datasets, predictions, fit traces and
 lag profiles: it formats WRITE_BLOCK rows per write, with the bytes
 csv.writer would give. Synthetic systems are CPD factors only; their
 records come from the same window contraction as the model's output,
-features.expected_output.
+features.expected_output. synthesize, calibrate_components and
+center_output turn the input into windows one features.lag_blocks block
+at a time and write each block's contraction into the (R, N) column
+products or the N-vector output, which they then reduce; no I x N window
+matrix is built.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .features import build_lagged_matrix, column_products, expected_output
+from .features import column_products, expected_output, lag_blocks
 from .model import NormalizationRecord
 from .tensor_ops import check_factors
 
@@ -217,6 +221,15 @@ class SyntheticSystem:
         return check_factors(self.factors)[1] - 1
 
 
+def _over_windows(rows, u, memory, contraction):
+    """contraction(U) of the window matrix U of u, as an array of shape
+    rows + (u.size,) filled one lag block at a time."""
+    out = np.empty(rows + (u.size,))
+    for offset, block in lag_blocks(u, memory):
+        out[..., offset:offset + block.shape[1]] = contraction(block)
+    return out
+
+
 def synthesize(system, u, rng=None):
     """Evaluate the system on u through the window contraction and add
     Gaussian noise drawn from the caller-owned `rng`."""
@@ -225,12 +238,13 @@ def synthesize(system, u, rng=None):
         raise ValueError("input signal must be a nonempty vector")
     if not np.isfinite(u).all():
         raise ValueError("input signal must be finite")
-    y = expected_output(build_lagged_matrix(u, system.memory), system.factors)
+    y = _over_windows((), u, system.memory,
+                      lambda U: expected_output(U, system.factors))
     if system.noise_std > 0:
         if rng is None:
             raise ValueError("a noisy system needs an rng")
-        y = y + system.noise_std * rng.standard_normal(u.size)
-    return Dataset(u, y.copy())
+        y += system.noise_std * rng.standard_normal(u.size)
+    return Dataset(u, y)
 
 
 def random_cpd_system(order, memory, rank, rng, noise_std=0.0):
@@ -246,7 +260,9 @@ def calibrate_components(system, u, component_std=1.0):
     new system with the same noise_std.
     """
     u = np.asarray(u, dtype=float)
-    outputs = column_products(build_lagged_matrix(u, system.memory), system.factors)
+    rank = check_factors(system.factors)[2]
+    outputs = _over_windows((rank,), u, system.memory,
+                            lambda U: column_products(U, system.factors))
     stds = outputs.std(axis=1)
     if np.any(stds <= 1e-12):
         raise ValueError("degenerate component: clean output is constant")
@@ -264,14 +280,17 @@ def center_output(system, u):
     does not introduce an extra rank-one constant component.
     """
     u = np.asarray(u, dtype=float)
-    U = build_lagged_matrix(u, system.memory)
     factors = [np.asarray(fac, dtype=float).copy() for fac in system.factors]
     # adding t to factor 0's constant row in column r shifts the output by
     # t times the product of the other factors' projections for that column
-    cofactor_means = column_products(U, factors, skip=0).mean(axis=1)
+    cofactor_means = _over_windows((factors[0].shape[1],), u, system.memory,
+                                   lambda U: column_products(U, factors, skip=0)
+                                   ).mean(axis=1)
     column = int(np.argmax(np.abs(cofactor_means)))
     if abs(cofactor_means[column]) <= 1e-12:
         raise ValueError("degenerate system: constant shift has no effect on "
                          "the mean output")
-    factors[0][0, column] -= expected_output(U, factors).mean() / cofactor_means[column]
+    mean_output = _over_windows((), u, system.memory,
+                                lambda U: expected_output(U, factors)).mean()
+    factors[0][0, column] -= mean_output / cofactor_means[column]
     return SyntheticSystem(factors=factors, noise_std=system.noise_std)

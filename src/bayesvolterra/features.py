@@ -1,6 +1,12 @@
 """Lag windows, the CPD contraction, design matrices, and their posterior
 expectations.
 
+build_lagged_matrix makes the whole I x N window matrix U of a record,
+which the fit needs. lag_blocks yields the same columns SCORE_BLOCK at a
+time, each block built from the slice of the record that carries its
+M - 1 samples of history; scoring and simulation use it, so they hold one
+block's windows instead of U.
+
 Every model output, design column and synthetic record comes from one
 contraction, column_products: the (R, N) stack of per-column products
 prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
@@ -19,10 +25,10 @@ fixed seed and BLAS thread count.
 
 The kernels make no gathers of full size. block_quadratics reads the
 covariance one band of column pairs (r, s >= r) at a time through views,
-expected_gram writes each pair's I x I block straight into its output,
-and second_moments adds the plug-in products to the quadratic forms one
-band at a time, so beyond its (R(R+1)/2, N) output it holds only O(R N)
-and O(R(R+1)/2 I(I+1)/2) scratch.
+expected_gram gathers and writes one such band of I x I blocks at a
+time, and second_moments adds the plug-in products to the quadratic forms
+one band at a time, so beyond its (R(R+1)/2, N) output it holds only
+O(R N) and O(R(R+1)/2 I(I+1)/2) scratch.
 """
 
 from __future__ import annotations
@@ -33,6 +39,19 @@ import numpy as np
 
 from .tensor_ops import check_factors, khatri_rao
 
+# windows per block wherever a record is turned into windows one block at a
+# time: lag_blocks, and the window squares of the predictive variance
+SCORE_BLOCK = 512
+
+
+def _check_signal(u, memory):
+    if u.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
+    if u.size == 0:
+        raise ValueError("signal is empty")
+    if memory < 1:
+        raise ValueError("memory must be at least 1")
+
 
 def build_lagged_matrix(signal, memory):
     """Stack lagged copies of the input into the I x N window matrix.
@@ -42,18 +61,34 @@ def build_lagged_matrix(signal, memory):
     are zero.
     """
     u = np.asarray(signal, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if u.size == 0:
-        raise ValueError("signal is empty")
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
+    _check_signal(u, memory)
     n = u.size
     out = np.zeros((memory + 1, n))
     out[0] = 1.0
     for lag in range(min(memory, n)):
         out[1 + lag, lag:] = u[: n - lag]
     return out
+
+
+def lag_blocks(signal, memory, start=0):
+    """Yield (offset, U_block) for the windows of `signal` from `start` on,
+    SCORE_BLOCK windows at a time.
+
+    U_block holds the columns start + offset, start + offset + 1, ... of
+    build_lagged_matrix(signal, memory), bit for bit: it is built from the
+    slice of the signal that ends with its last window and carries the
+    M - 1 samples before its first, and is a view of that slice's window
+    matrix. The blocks start at start, start + SCORE_BLOCK, ..., so only
+    one block's windows exist at a time.
+    """
+    u = np.asarray(signal, dtype=float)
+    _check_signal(u, memory)
+    if not 0 <= start < u.size:
+        raise ValueError(f"start {start} is outside the {u.size} samples")
+    for begin in range(start, u.size, SCORE_BLOCK):
+        first = max(0, begin - memory + 1)
+        windows = build_lagged_matrix(u[first:begin + SCORE_BLOCK], memory)
+        yield begin - start, windows[:, begin - first:]
 
 
 def column_products(U, factors, skip=None):
@@ -209,8 +244,11 @@ def expected_gram(U, weights, uu):
     of an I x I block is computed once, for r <= s and i <= j, and placed
     at (i, j) and (j, i) of the block, which goes to both (r, s) and
     (s, r): the block is its own transpose, so the Gram is exactly
-    symmetric. The blocks are written straight into the output, one
-    column pair at a time, so the result is the only (R*I)^2 array made.
+    symmetric. The blocks are written one band of column pairs (r, s >= r)
+    at a time: one gather through the symmetric I x I index of the window
+    pairs gives the band's (R - r, I, I) blocks, which are copied to the
+    block row r and the block column r of the output. The result is the
+    only (R*I)^2 array made.
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -221,14 +259,17 @@ def expected_gram(U, weights, uu):
                          f"for U {U.shape}")
     _check_pairs(U, uu)
     flat = weights @ uu.T
+    # symmetric[i, j] is the row of window_pairs holding the pair (i, j)
     i, j = np.triu_indices(window)
+    symmetric = np.empty((window, window), dtype=np.intp)
+    symmetric[i, j] = symmetric[j, i] = np.arange(i.size)
     gram = np.empty((rank, window, rank, window))
-    for p, (r, s) in enumerate(zip(*moment_pairs(rank))):
-        block = gram[r, :, s, :]
-        block[i, j] = flat[p]
-        block[j, i] = flat[p]
-        if r != s:
-            gram[s, :, r, :] = block
+    row = 0
+    for r in range(rank):
+        band = flat[row:row + rank - r][:, symmetric]
+        gram[r, :, r:, :] = band.transpose(1, 0, 2)
+        gram[r:, :, r, :] = band
+        row += rank - r
     return gram.reshape(rank * window, rank * window)
 
 

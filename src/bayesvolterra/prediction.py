@@ -1,14 +1,19 @@
 """Student-t predictive distributions and evaluation metrics, as arrays.
 
 predictive_arrays gives model-unit locations, squared scales and dof for a
-window matrix; one window u_n is the column U[:, [n]]. Its parameter
-variance comes from the same packed window square and covariance
-coefficients as the fit's second moments, a block of windows at a time;
-the coefficients are scaled in place, so beyond the model the only
-large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per factor
-and one block's window square.
-predict is the whole path from a raw input record to original output
-units, and evaluate scores it with the array metrics rmse and nll.
+window matrix; one window u_n is the column U[:, [n]]. predict is the
+whole path from a raw input record to original output units: it keeps the
+normalized record, an N-vector, and turns it into windows one lag_blocks
+block at a time, so no I x N window matrix is built. Both drive one
+scoring kernel over blocks of SCORE_BLOCK windows. Per block it projects
+the windows on every factor mean once; the products of those projections
+give the locations and the other modes' column products h_d, and the
+parameter variance comes from the block's packed window square and the
+covariance coefficients of the fit's second moments, which are built once
+per call and scaled in place. Beyond the model and a few N-vectors, the
+only large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per
+factor and one block's windows and window square. evaluate scores predict
+with the array metrics rmse and nll.
 
 nll evaluates the Student-t log density in closed form: with
 z = (y - loc)/scale,
@@ -21,6 +26,7 @@ where poch(a, 1/2) = Gamma(a + 1/2)/Gamma(a).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,69 +34,99 @@ from scipy.special import poch
 
 from .data import normalize_input
 from .features import (
+    SCORE_BLOCK,
     block_quadratics,
-    build_lagged_matrix,
-    column_products,
-    expected_output,
+    lag_blocks,
     moment_pairs,
     window_pairs,
 )
 
-# windows per packed window square in predictive_arrays
-SCORE_BLOCK = 512
+
+def _hadamard(projections, skip=None):
+    """The product of the (R, B) projections W_d' U over d != skip, formed
+    as column_products forms it: ones, multiplied by each in mode order."""
+    out = np.ones_like(projections[0])
+    for d, proj in enumerate(projections):
+        if d != skip:
+            out *= proj
+    return out
 
 
-def predictive_arrays(state, U):
-    """Locations, squared scales, and dof for every column of U (model units).
+def _score(state, blocks, n_windows):
+    """Model-unit locations and squared scales for n_windows windows, given
+    as the (offset, U_block) pairs of `blocks`.
 
     The squared scale is b_N/a_N plus one quadratic form per factor,
-    g_d' Sigma_d g_d, with g_d = h kron u_n the mode-d design column at
-    the posterior means, h the other modes' column products. It is summed
-    over the column pairs r <= s as (2 - delta_rs) h_r h_s q_rs, where
-    q_rs = u_n' C_rs u_n comes from block_quadratics(Sigma_d) and
-    window_pairs of SCORE_BLOCK windows at a time; dof is twice the noise
-    shape. The coefficients are scaled by 2 - delta_rs in place.
+    g_d' Sigma_d g_d, with g_d = h_d kron u_n the mode-d design column at
+    the posterior means. It is summed over the column pairs r <= s as
+    (2 - delta_rs) h_r h_s q_rs, where q_rs = u_n' C_rs u_n comes from
+    block_quadratics(Sigma_d) and the block's window_pairs; the
+    coefficients are built once and scaled by 2 - delta_rs in place.
     """
-    U = np.asarray(U, dtype=float)
     means = state.factor_means
-    locations = expected_output(U, means)
-    scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
     coefs = [block_quadratics(f.cov, state.rank, state.window)
              for f in state.factors]
     for c in coefs:
         c *= twice
-    for start in range(0, U.shape[1], SCORE_BLOCK):
-        block = U[:, start:start + SCORE_BLOCK]
+    locations = np.empty(n_windows)
+    scale_sq = np.full(n_windows, float(state.noise.rate / state.noise.shape))
+    for offset, block in blocks:
+        cols = slice(offset, offset + block.shape[1])
+        projections = [m.T @ block for m in means]
+        locations[cols] = _hadamard(projections).sum(axis=0)
         uu = window_pairs(block)
         for d, c in enumerate(coefs):
-            h = column_products(block, means, skip=d)
-            scale_sq[start:start + block.shape[1]] += (
-                (h[r] * h[s]) * (c @ uu)).sum(axis=0)
+            h = _hadamard(projections, skip=d)
+            scale_sq[cols] += ((h[r] * h[s]) * (c @ uu)).sum(axis=0)
         # free this block's square before the next one is built
         del uu
+    return locations, scale_sq
+
+
+def predictive_arrays(state, U):
+    """Locations, squared scales, and dof for every column of U (model units).
+
+    The columns go through the scoring kernel SCORE_BLOCK at a time; dof is
+    twice the noise shape.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[0] != state.window:
+        raise ValueError(f"window matrix has shape {U.shape}, the model "
+                         f"expects {state.window} rows")
+    blocks = ((b, U[:, b:b + SCORE_BLOCK]) for b in range(0, U.shape[1], SCORE_BLOCK))
+    locations, scale_sq = _score(state, blocks, U.shape[1])
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 
 def predict(state, u, start=0):
     """Original-unit (locations, scales, dof) for the windows of u[start:].
 
-    The raw input is normalized with the state's stored record and the
-    windows are built from the whole record, so the windows after `start`
-    see the true past; only those windows go through predictive_arrays.
-    A non-finite input raises ValueError.
+    The raw input is normalized with the state's stored record and turned
+    into windows by lag_blocks, so the windows after `start` see the true
+    past; they are scored a block at a time, like predictive_arrays on
+    those columns of the window matrix. A non-finite input, or a `start`
+    that is not an integer index into u, raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("input record must be finite")
+    try:
+        start = operator.index(start)
+    except TypeError:
+        raise ValueError(f"start must be an integer, got {start!r}") from None
     if not 0 <= start < u.size:
         raise ValueError(f"nothing to predict: start {start} of {u.size} samples")
     record = state.normalization
-    U = build_lagged_matrix(normalize_input(u, record), state.memory)
-    locations, scale_sq, dof = predictive_arrays(state, U[:, start:])
-    return (record.output_mean + record.output_std * locations,
-            record.output_std * np.sqrt(scale_sq), dof)
+    blocks = lag_blocks(normalize_input(u, record), state.memory, start)
+    locations, scales = _score(state, blocks, u.size - start)
+    # original units, in place
+    locations *= record.output_std
+    locations += record.output_mean
+    np.sqrt(scales, out=scales)
+    scales *= record.output_std
+    return locations, scales, 2.0 * float(state.noise.shape)
 
 
 def _paired(y, locations):

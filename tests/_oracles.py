@@ -6,9 +6,11 @@ summed over lags directly, the moment kernels keep both (r, s) and (s, r)
 of their R x R stacks, the variational linear regression runs on plain
 numpy inverses, the CSV reference reads and writes one row at a time
 through the csv module, and the synthetic systems and random model states
-are assembled through the public API with fixed seeds. Tests compare the
-package against these references. traced_peak measures the memory a call
-allocates, for the guards on the kernels' scratch.
+are assembled through the public API with fixed seeds. The full_window_*
+references build the whole I x N window matrix of a record, as the
+package did before it turned records into windows one block at a time.
+Tests compare the package against these references. traced_peak measures
+the memory a call allocates, for the guards on the kernels' scratch.
 """
 
 import csv
@@ -23,13 +25,20 @@ from bayesvolterra import (
     NormalizationRecord,
     PriorConfig,
     SyntheticSystem,
+    block_quadratics,
     build_lagged_matrix,
     calibrate_components,
+    column_products,
+    expected_output,
     identify,
     init_state,
+    moment_pairs,
+    normalize_input,
     random_cpd_system,
     synthesize,
+    window_pairs,
 )
+from bayesvolterra.features import SCORE_BLOCK
 
 
 def kron_chain(columns):
@@ -323,3 +332,53 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def full_window_synthesize(system, u, rng=None):
+    """synthesize's output record from the whole window matrix of u."""
+    y = expected_output(build_lagged_matrix(u, system.memory), system.factors)
+    if system.noise_std > 0:
+        y = y + system.noise_std * rng.standard_normal(u.size)
+    return y
+
+
+def full_window_calibrate_components(system, u, component_std=1.0):
+    """calibrate_components from the whole window matrix of u."""
+    outputs = column_products(build_lagged_matrix(u, system.memory), system.factors)
+    gains = (component_std / outputs.std(axis=1)) ** (1.0 / system.order)
+    return SyntheticSystem([np.asarray(f, dtype=float) * gains[None, :]
+                            for f in system.factors], noise_std=system.noise_std)
+
+
+def full_window_center_output(system, u):
+    """center_output from the whole window matrix of u."""
+    U = build_lagged_matrix(u, system.memory)
+    factors = [np.asarray(f, dtype=float).copy() for f in system.factors]
+    cofactor_means = column_products(U, factors, skip=0).mean(axis=1)
+    column = int(np.argmax(np.abs(cofactor_means)))
+    factors[0][0, column] -= expected_output(U, factors).mean() / cofactor_means[column]
+    return SyntheticSystem(factors, noise_std=system.noise_std)
+
+
+def full_window_predict(state, u, start=0):
+    """predict's original-unit (locations, scales, dof) from the whole window
+    matrix of the normalized record: the locations from expected_output on
+    its columns from `start`, and the squared scales summed over blocks of
+    SCORE_BLOCK of those columns, each with its own window_pairs and
+    column_products."""
+    record = state.normalization
+    U = build_lagged_matrix(normalize_input(u, record), state.memory)[:, start:]
+    locations = expected_output(U, state.factor_means)
+    scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
+    r, s = moment_pairs(state.rank)
+    twice = np.where(r == s, 1.0, 2.0)[:, None]
+    for begin in range(0, U.shape[1], SCORE_BLOCK):
+        block = U[:, begin:begin + SCORE_BLOCK]
+        uu = window_pairs(block)
+        for d, f in enumerate(state.factors):
+            coef = block_quadratics(f.cov, state.rank, state.window) * twice
+            h = column_products(block, state.factor_means, skip=d)
+            scale_sq[begin:begin + block.shape[1]] += (
+                (h[r] * h[s]) * (coef @ uu)).sum(axis=0)
+    return (record.output_mean + record.output_std * locations,
+            record.output_std * np.sqrt(scale_sq), 2.0 * float(state.noise.shape))

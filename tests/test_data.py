@@ -22,9 +22,14 @@ from bayesvolterra import (
     synthesize,
 )
 
+from bayesvolterra.features import SCORE_BLOCK
+
 from _oracles import (
     cpd_expand,
     cpd_kernels_order2,
+    full_window_calibrate_components,
+    full_window_center_output,
+    full_window_synthesize,
     nested_summation,
     reference_read_csv,
     reference_write_csv,
@@ -376,3 +381,19 @@ def test_center_output_rejects_a_flat_cofactor():
     system = SyntheticSystem([first, second])
     with pytest.raises(ValueError, match="degenerate"):
         center_output(system, u)
+
+
+def test_simulation_equals_the_full_window_formulas():
+    # three whole lag blocks and a partial one, bit for bit
+    rng = np.random.default_rng(32)
+    u = rng.uniform(0.0, 1.0, 3 * SCORE_BLOCK + 45)
+    system = random_cpd_system(3, 8, 2, rng, noise_std=0.1)
+    calibrated = calibrate_components(system, u, component_std=0.5)
+    reference = full_window_calibrate_components(system, u, component_std=0.5)
+    for fac, ref in zip(calibrated.factors, reference.factors):
+        assert_array_equal(fac, ref)
+    centered = center_output(calibrated, u)
+    for fac, ref in zip(centered.factors, full_window_center_output(calibrated, u).factors):
+        assert_array_equal(fac, ref)
+    y = synthesize(centered, u, rng=np.random.default_rng(33)).y
+    assert_array_equal(y, full_window_synthesize(centered, u, np.random.default_rng(33)))

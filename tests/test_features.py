@@ -21,10 +21,12 @@ from bayesvolterra import (
     expected_residual,
     kept_pairs,
     khatri_rao,
+    lag_blocks,
     moment_pairs,
     second_moments,
     window_pairs,
 )
+from bayesvolterra.features import SCORE_BLOCK
 
 from _oracles import (
     cpd_expand,
@@ -82,6 +84,34 @@ def test_lagged_matrix_rejects_bad_input():
         build_lagged_matrix([1.0, 2.0], 0)
     with pytest.raises(ValueError):
         build_lagged_matrix(np.ones((2, 2)), 1)
+
+
+@pytest.mark.parametrize("n, memory, start", [
+    (3 * SCORE_BLOCK + 37, 6, 0),  # from the first window, a partial last block
+    (3 * SCORE_BLOCK + 37, 6, 4),  # 0 < start < memory: history cut by the record start
+    (3 * SCORE_BLOCK + 37, 40, SCORE_BLOCK),  # start on a block edge
+    (3 * SCORE_BLOCK, 40, SCORE_BLOCK - 1),  # blocks straddle the edges from 0
+    (2 * SCORE_BLOCK + 5, 9, 5),  # whole blocks only
+    (5, 12, 0),  # a record shorter than the memory
+    (5, 12, 3),
+])
+def test_lag_blocks_are_the_columns_of_the_window_matrix(n, memory, start):
+    u = np.random.default_rng(n + memory + start).standard_normal(n)
+    full = build_lagged_matrix(u, memory)
+    blocks = list(lag_blocks(u, memory, start))
+    assert [offset for offset, _ in blocks] == list(range(0, n - start, SCORE_BLOCK))
+    for offset, block in blocks:
+        width = min(SCORE_BLOCK, n - start - offset)
+        assert block.shape == (memory + 1, width)
+        assert_array_equal(block, full[:, start + offset:start + offset + width])
+
+
+def test_lag_blocks_reject_bad_input():
+    for signal, memory, start in (([], 3, 0), ([1.0, 2.0], 0, 0),
+                                  (np.ones((2, 2)), 1, 0), ([1.0, 2.0], 1, 2),
+                                  ([1.0, 2.0], 1, -1)):
+        with pytest.raises(ValueError):
+            next(lag_blocks(signal, memory, start))
 
 
 def test_design_matrix_single_factor_is_the_window_matrix():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import gammaln
 
@@ -22,7 +22,12 @@ from bayesvolterra import (
 )
 from bayesvolterra.prediction import SCORE_BLOCK
 
-from _oracles import student_t_oracle, traced_peak, vb_linear_oracle
+from _oracles import (
+    full_window_predict,
+    student_t_oracle,
+    traced_peak,
+    vb_linear_oracle,
+)
 
 GAUSS_CONST = 0.5 * np.log(2.0 * np.pi)
 
@@ -223,6 +228,72 @@ def test_predictive_arrays_hold_one_block_square_at_a_time():
     peak = traced_peak(lambda: predictive_arrays(state, U))
     assert peak <= 8 * (order * pairs * squares + SCORE_BLOCK * squares
                         + 2 * small)
+
+
+def scoring_state(seed, order=3, memory=8, rank=3):
+    """A state with random means and covariances and a non-trivial
+    normalization, so every term of the predictive variance counts."""
+    rng = np.random.default_rng(seed)
+    state = init_state(order, memory, rank, seed=seed,
+                       normalization=NormalizationRecord(
+                           input_min=-1.0, input_max=3.0,
+                           output_mean=0.5, output_std=2.5))
+    size = rank * (memory + 1)
+    for f in state.factors:
+        f.mean[...] = rng.standard_normal(f.mean.shape)
+        root = rng.standard_normal((size, size))
+        f.cov[...] = root @ root.T / size + 0.1 * np.eye(size)
+    state.noise = GammaPosterior(3.0, 2.0)
+    return state
+
+
+@pytest.mark.parametrize("start", [0, 5, SCORE_BLOCK + 190])
+def test_predict_and_evaluate_equal_the_full_window_formulas(start):
+    # at least three lag blocks after `start`, bit for bit
+    state = scoring_state(10)
+    rng = np.random.default_rng(10)
+    n = start + 3 * SCORE_BLOCK + 77
+    u = rng.uniform(-1.0, 3.0, n)
+    y = rng.standard_normal(n)
+    locations, scales, dof = predict(state, u, start=start)
+    ref_locations, ref_scales, ref_dof = full_window_predict(state, u, start=start)
+    assert_array_equal(locations, ref_locations)
+    assert_array_equal(scales, ref_scales)
+    assert dof == ref_dof
+    report = evaluate(state, u, y, start=start)
+    assert_array_equal(report.locations, ref_locations)
+    assert_array_equal(report.scales, ref_scales)
+    assert report.rmse == rmse(y[start:], ref_locations)
+    assert report.nll == nll(y[start:], ref_locations, ref_scales, ref_dof)
+
+
+def test_predict_refuses_a_start_that_is_not_an_integer():
+    state = scoring_state(11, memory=3)
+    u = np.random.default_rng(11).uniform(0.0, 1.0, 40)
+    y = np.zeros(40)
+    for bad in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="start"):
+            predict(state, u, start=bad)
+        with pytest.raises(ValueError, match="start"):
+            evaluate(state, u, y, start=bad)
+    expected = predict(state, u, start=2)
+    for got, want in zip(predict(state, u, start=np.int64(2)), expected):
+        assert_array_equal(got, want)
+
+
+def test_predict_holds_no_window_matrix():
+    # a few N-vectors, one block's windows and window square, the D
+    # coefficient arrays and O((R(R+1)/2 + D R) SCORE_BLOCK) scratch; the
+    # I x N window matrix alone would exceed it
+    order, rank, memory, n = 2, 2, 50, 40_000
+    window = memory + 1
+    pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
+    state = scoring_state(12, order=order, memory=memory, rank=rank)
+    u = np.random.default_rng(12).uniform(-1.0, 3.0, n)
+    bound = 8 * (4 * n + window * (SCORE_BLOCK + memory) + squares * SCORE_BLOCK
+                 + order * pairs * squares + 4 * (pairs + order * rank) * SCORE_BLOCK)
+    assert 8 * window * n > bound
+    assert traced_peak(lambda: predict(state, u)) <= bound
 
 
 def test_predict_maps_to_original_units():
