@@ -308,10 +308,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BayesVolterraError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (BayesVolterraError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

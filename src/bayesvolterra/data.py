@@ -6,12 +6,11 @@ pass and reads the file row by row only to cite the line of a fault.
 write_csv is the one CSV writer, for datasets, predictions, fit traces and
 lag profiles: it formats WRITE_BLOCK rows per write, with the bytes
 csv.writer would give. Synthetic systems are CPD factors only; their
-records come from the same window contraction as the model's output,
-features.expected_output. synthesize, calibrate_components and
-center_output turn the input into windows one features.lag_blocks block
-at a time and write each block's contraction into the (R, N) column
-products or the N-vector output, which they then reduce; no I x N window
-matrix is built.
+records come from the same window contraction as the model's output.
+synthesize, calibrate_components and center_output each make one
+features.fill_blocks walk over the input's lag blocks, which fills the
+output, the (R, N) column products, or the cofactors of factor 0 and the
+output, which they then reduce; no I x N window matrix is built.
 """
 
 from __future__ import annotations
@@ -24,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .features import column_products, expected_output, lag_blocks
+from .features import (
+    column_products,
+    expected_output,
+    fill_blocks,
+    hadamard,
+    lag_blocks,
+)
 from .model import NormalizationRecord
 from .tensor_ops import check_factors
 
@@ -221,15 +226,6 @@ class SyntheticSystem:
         return check_factors(self.factors)[1] - 1
 
 
-def _over_windows(rows, u, memory, contraction):
-    """contraction(U) of the window matrix U of u, as an array of shape
-    rows + (u.size,) filled one lag block at a time."""
-    out = np.empty(rows + (u.size,))
-    for offset, block in lag_blocks(u, memory):
-        out[..., offset:offset + block.shape[1]] = contraction(block)
-    return out
-
-
 def synthesize(system, u, rng=None):
     """Evaluate the system on u through the window contraction and add
     Gaussian noise drawn from the caller-owned `rng`."""
@@ -238,8 +234,8 @@ def synthesize(system, u, rng=None):
         raise ValueError("input signal must be a nonempty vector")
     if not np.isfinite(u).all():
         raise ValueError("input signal must be finite")
-    y = _over_windows((), u, system.memory,
-                      lambda U: expected_output(U, system.factors))
+    y = fill_blocks(lag_blocks(u, system.memory), (), u.size,
+                    lambda U: expected_output(U, system.factors))
     if system.noise_std > 0:
         if rng is None:
             raise ValueError("a noisy system needs an rng")
@@ -261,8 +257,8 @@ def calibrate_components(system, u, component_std=1.0):
     """
     u = np.asarray(u, dtype=float)
     rank = check_factors(system.factors)[2]
-    outputs = _over_windows((rank,), u, system.memory,
-                            lambda U: column_products(U, system.factors))
+    outputs = fill_blocks(lag_blocks(u, system.memory), (rank,), u.size,
+                          lambda U: column_products(U, system.factors))
     stds = outputs.std(axis=1)
     if np.any(stds <= 1e-12):
         raise ValueError("degenerate component: clean output is constant")
@@ -281,16 +277,23 @@ def center_output(system, u):
     """
     u = np.asarray(u, dtype=float)
     factors = [np.asarray(fac, dtype=float).copy() for fac in system.factors]
+    rank = factors[0].shape[1]
+
+    def cofactors_and_output(U):
+        # the R cofactors of factor 0 above the output, from one projection
+        projections = [fac.T @ U for fac in factors]
+        shape = (rank, U.shape[1])
+        return np.vstack([hadamard(projections[1:], shape),
+                          hadamard(projections, shape).sum(axis=0)])
+
+    walked = fill_blocks(lag_blocks(u, system.memory), (rank + 1,), u.size,
+                         cofactors_and_output)
     # adding t to factor 0's constant row in column r shifts the output by
     # t times the product of the other factors' projections for that column
-    cofactor_means = _over_windows((factors[0].shape[1],), u, system.memory,
-                                   lambda U: column_products(U, factors, skip=0)
-                                   ).mean(axis=1)
+    cofactor_means = walked[:rank].mean(axis=1)
     column = int(np.argmax(np.abs(cofactor_means)))
     if abs(cofactor_means[column]) <= 1e-12:
         raise ValueError("degenerate system: constant shift has no effect on "
                          "the mean output")
-    mean_output = _over_windows((), u, system.memory,
-                                lambda U: expected_output(U, factors)).mean()
-    factors[0][0, column] -= mean_output / cofactor_means[column]
+    factors[0][0, column] -= walked[rank].mean() / cofactor_means[column]
     return SyntheticSystem(factors=factors, noise_std=system.noise_std)

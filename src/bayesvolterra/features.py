@@ -4,24 +4,26 @@ expectations.
 build_lagged_matrix makes the whole I x N window matrix U of a record,
 which the fit needs. lag_blocks yields the same columns SCORE_BLOCK at a
 time, each block built from the slice of the record that carries its
-M - 1 samples of history; scoring and simulation use it, so they hold one
-block's windows instead of U.
+M - 1 samples of history, and column_blocks slices a matrix already built
+the same way. fill_blocks is the one walk over such blocks: it writes a
+contraction of each block into its columns of the output. Scoring and
+simulation use it, so they hold one block's windows instead of U.
 
-Every model output, design column and synthetic record comes from one
-contraction, column_products: the (R, N) stack of per-column products
-prod_d (W_d' u_n). The second-moment and expected-Gram routines are where
-the inference loop spends its time. Both contract against the packed
-window square window_pairs(U), the (I(I+1)/2, N) rows u_i u_j for i <= j,
-which the caller builds once per fit; block_quadratics turns a factor
-covariance into the coefficients that map it to the quadratic forms
-u_n' C_rs u_n, which the predictive variance uses as well. A
+Every per-factor product, of projections W_d' U or of moment stacks, is
+one left fold, hadamard. The model output, design columns and synthetic
+records come from column_products, the (R, N) stack of per-column
+products prod_d (W_d' u_n). The second-moment and expected-Gram routines
+are where the inference loop spends its time. Both contract against the
+packed window square window_pairs(U), the (I(I+1)/2, N) rows u_i u_j for
+i <= j, which the caller builds once per fit; block_quadratics turns a
+factor covariance into the coefficients that map it to the quadratic
+forms u_n' C_rs u_n, which the predictive variance uses as well. A
 second-moment stack is symmetric in its column pair (r, s), so it is
 stored packed: an (R(R+1)/2, N) array holding the pairs r <= s in
 moment_pairs order, and an elementwise product of packed stacks is the
-packed product. The expected residual takes the product of all modes'
-stacks, which the caller forms. Each reduction over samples has one
-implementation, a dense product or sum; a fit repeats bit for bit at a
-fixed seed and BLAS thread count.
+packed product. Each reduction over samples has one implementation, a
+dense product or sum; a fit repeats bit for bit at a fixed seed and BLAS
+thread count.
 
 The kernels make no gathers of full size. block_quadratics reads the
 covariance one band of column pairs (r, s >= r) at a time through views,
@@ -91,12 +93,42 @@ def lag_blocks(signal, memory, start=0):
         yield begin - start, windows[:, begin - first:]
 
 
+def column_blocks(U):
+    """Yield (offset, U[:, offset:offset + SCORE_BLOCK]) for the columns of
+    the window matrix U, SCORE_BLOCK at a time: lag_blocks for a matrix
+    already built."""
+    for begin in range(0, U.shape[1], SCORE_BLOCK):
+        yield begin, U[:, begin:begin + SCORE_BLOCK]
+
+
+def fill_blocks(blocks, rows, n, contraction):
+    """The rows + (n,) array whose columns from `offset` on hold
+    contraction(block), for each (offset, block) pair of `blocks`."""
+    out = np.empty(rows + (n,))
+    for offset, block in blocks:
+        out[..., offset:offset + block.shape[1]] = contraction(block)
+    return out
+
+
+def hadamard(arrays, shape):
+    """The elementwise product of the equally shaped `arrays`, folded left
+    to right into a new array, never one of the inputs and with no pass
+    over ones; all ones of `shape` when there are none."""
+    if not arrays:
+        return np.ones(shape)
+    out = arrays[0] * arrays[1] if len(arrays) > 1 else np.array(arrays[0], dtype=float)
+    for array in arrays[2:]:
+        out *= array
+    return out
+
+
 def column_products(U, factors, skip=None):
     """The (R, N) stack prod_{d != skip} (W_d' U), one row per CPD column.
 
     Column n, summed over rows, is the model output at window u_n; with
     `skip` set it is the cofactor that multiplies factor `skip`. The
-    product over no factors is all ones.
+    projections are folded by hadamard; the product over no factors is all
+    ones.
     """
     order, window, rank = check_factors(factors)
     U = np.asarray(U, dtype=float)
@@ -105,11 +137,9 @@ def column_products(U, factors, skip=None):
                          f"factors expect {window} rows")
     if skip is not None and not 0 <= skip < order:
         raise ValueError(f"mode {skip} out of range for {order} factors")
-    out = np.ones((rank, U.shape[1]))
-    for d, fac in enumerate(factors):
-        if d != skip:
-            out *= np.asarray(fac, dtype=float).T @ U
-    return out
+    return hadamard([np.asarray(fac, dtype=float).T @ U
+                     for d, fac in enumerate(factors) if d != skip],
+                    (rank, U.shape[1]))
 
 
 def design_matrix(U, means, mode):

@@ -8,7 +8,7 @@ the other modes' packed (R(R+1)/2, N) second-moment stacks, and the noise
 update and the bound only N and the expected residual E||y - G'w||^2.
 identify builds the packed window square window_pairs(U) once per fit,
 which both moment kernels contract against, forms every product of
-stacks with one left fold, stack_product, and the residual once per
+stacks with the left fold features.hadamard, and the residual once per
 sweep. Rank truncation runs once per sweep after the bound is recorded,
 so every trace entry describes a state of fixed rank; it returns the kept
 columns, to whose pairs the stacks are sliced. Only a truncation in the
@@ -17,15 +17,17 @@ last sweep calls for one more residual and noise update.
 A factor update allocates one (R*I)^2 array, its precision, and factors
 that exactly symmetric matrix once, in place: two triangular solves give
 the mean, and LAPACK dpotri overwrites the factor with the covariance.
-identify drops a mode's old covariance before its update, so a fit holds
-D - 1 covariances and that one buffer; it slices the stacks one at a time
-at a truncation and forms the residual's product in place on the last
-cross weights. Both numerical fallbacks, the Cholesky jitter retry and
-the clamp of a negative expected residual, warn with a RuntimeWarning.
+identify drops a mode's old covariance and stack before its update, so a
+fit holds D - 1 of each, the cross weights and that one buffer; it
+slices the stacks one at a time at a truncation and forms the residual's
+product in place on the last cross weights. Both numerical fallbacks,
+the Cholesky jitter retry and the clamp of a negative expected residual,
+warn with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -40,8 +42,8 @@ from .features import (
     column_products,
     expected_gram,
     expected_residual,
+    hadamard,
     kept_pairs,
-    moment_pairs,
     second_moments,
     window_pairs,
 )
@@ -69,6 +71,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # booleans and integral floats are refused too: a saved model
+        # stores these fields as JSON integers
+        for name in ("order", "rank", "max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if self.rank < 1:
@@ -181,23 +190,10 @@ def _logdet_psd(matrix, label):
     return float(logdet)
 
 
-def stack_product(stacks, rank, n_samples):
-    """Elementwise product of packed (R(R+1)/2, N) second-moment stacks,
-    folded left to right; all ones of that shape when `stacks` is empty
-    (a one-factor model). The product of packed stacks is the packed
-    product, because the R x R stacks multiply entry by entry."""
-    if not stacks:
-        return np.ones((moment_pairs(rank)[0].size, n_samples))
-    product = stacks[0]
-    for stack in stacks[1:]:
-        product = product * stack
-    return product
-
-
 def update_factor(state, U, y, mode, weights, uu):
     """Exact Gaussian update of one factor given all other posteriors.
 
-    `weights` are the cross weights of `mode`, the stack_product of the
+    `weights` are the cross weights of `mode`, the hadamard product of the
     other modes' second_moments stacks, and `uu` is the packed window
     square window_pairs(U). The expected Gram is exactly symmetric, so the
     precision is too. The precision is the only (R*I)^2 array the update
@@ -292,8 +288,7 @@ def _gamma_prior_and_entropy(posterior, prior_shape, prior_rate):
     """E_q[ln p(x)] + H(q) summed over independent Gamma coordinates."""
     a = np.asarray(posterior.shape, dtype=float)
     b = np.asarray(posterior.rate, dtype=float)
-    mean = a / b
-    mean_log = digamma(a) - np.log(b)
+    mean, mean_log = a / b, posterior.expected_log
     expected_prior = (
         prior_shape * np.log(prior_rate)
         - gammaln(prior_shape)
@@ -318,14 +313,11 @@ def compute_elbo(state, n_samples, resid):
     rank = state.rank
     col = np.asarray(state.col_prec.mean, dtype=float)
     col_log = np.asarray(state.col_prec.expected_log, dtype=float)
-    if state.row_prec_fixed:
-        row = np.ones(window)
-        row_log = np.zeros(window)
-    else:
-        row = np.asarray(state.row_prec.mean, dtype=float)
-        row_log = np.asarray(state.row_prec.expected_log, dtype=float)
+    row = state.row_prec_means()
+    row_log = (np.zeros(window) if state.row_prec_fixed
+               else np.asarray(state.row_prec.expected_log, dtype=float))
     tau = float(state.noise.mean)
-    tau_log = float(digamma(state.noise.shape) - np.log(state.noise.rate))
+    tau_log = float(state.noise.expected_log)
     priors = state.priors
 
     bound = 0.5 * n_samples * (tau_log - LOG_2PI) - 0.5 * tau * resid
@@ -398,14 +390,13 @@ def identify(U, y, config, priors=None, normalization=None):
     (unless disabled), the column precisions, and the noise precision and
     the bound from one expected residual, records the bound, and finally
     truncates the rank, slicing the moment stacks one at a time. A mode's
-    old covariance is dropped before its update, which does not read it.
-    The residual's product of all D stacks is the last mode's cross
-    weights times its new stack, formed in place on the weights unless
-    they are another mode's stack (D=2).
-    The loop stops when the relative bound change at fixed rank drops
-    below elbo_rel_tol or max_iter is reached. Only when the last sweep
-    truncated is the noise posterior refreshed on the kept columns;
-    otherwise the last sweep's noise update already saw the final factors.
+    old covariance and stack are dropped before its update, which reads
+    neither. The residual's product of all D stacks is the last mode's
+    cross weights times its new stack, formed in place. The loop stops
+    when the relative bound change at fixed rank drops below elbo_rel_tol
+    or max_iter is reached. Only when the last sweep truncated is the
+    noise posterior refreshed on the kept columns; otherwise the last
+    sweep's noise update already saw the final factors.
 
     Returns (ModelState, FitTrace). Numeric failures carry the sweep index.
     """
@@ -435,26 +426,21 @@ def identify(U, y, config, priors=None, normalization=None):
     previous = None
     started = time.perf_counter()
     for sweep in range(1, config.max_iter + 1):
+        packed = (state.rank * (state.rank + 1) // 2, y.size)
         try:
             for d in range(state.order):
-                weights = stack_product(moments[:d] + moments[d + 1:],
-                                        state.rank, y.size)
-                # drop mode d's covariance, which its update does not read,
-                # so the fit holds D - 1 covariances beside the update's buffer
+                weights = hadamard(moments[:d] + moments[d + 1:], packed)
+                # drop what the update does not read: mode d's stack and
+                # covariance
+                moments[d] = None
                 state.factors[d].cov = None
                 posterior = update_factor(state, U, y, d, weights, uu)
-                # drop the spent stack, and the cross weights unless the
-                # residual needs them, before the new stack is built
-                moments[d] = None
+                # the residual needs the last mode's cross weights
                 if d < last:
                     del weights
                 moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
-            # the last mode's cross weights times its new stack: all D
-            # modes, in place unless the weights are mode 0's stack (D=2)
-            if weights is moments[0]:
-                weights = weights * moments[last]
-            else:
-                weights *= moments[last]
+            # the last mode's cross weights times its new stack: all D modes
+            weights *= moments[last]
             resid = expected_residual(U, y, state.factor_means, weights)
             del weights
             if config.lag_sparsity:
@@ -485,6 +471,6 @@ def identify(U, y, config, priors=None, normalization=None):
     if keep is not None:
         # the last sweep dropped columns after its noise update
         resid = expected_residual(U, y, state.factor_means,
-                                  stack_product(moments, state.rank, y.size))
+                                  hadamard(moments, moments[0].shape))
         update_noise_precision(state, y.size, resid)
     return state, trace

@@ -52,25 +52,20 @@ def save_model(state, directory, info=None):
         "row_prec_fixed": bool(state.row_prec_fixed),
         "priors": asdict(state.priors),
         "normalization": asdict(state.normalization),
-        "posteriors": {
-            "noise": {
-                "shape": float(state.noise.shape),
-                "rate": float(state.noise.rate),
-            },
-            "col_prec": {
-                "shape": np.asarray(state.col_prec.shape, dtype=float).tolist(),
-                "rate": np.asarray(state.col_prec.rate, dtype=float).tolist(),
-            },
-            "row_prec": {
-                "shape": np.asarray(state.row_prec.shape, dtype=float).tolist(),
-                "rate": np.asarray(state.row_prec.rate, dtype=float).tolist(),
-            },
-        },
+        "posteriors": {name: _gamma_entry(getattr(state, name))
+                       for name in ("noise", "col_prec", "row_prec")},
         "blobs": blobs,
         "info": dict(info or {}),
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
     return directory
+
+
+def _gamma_entry(posterior):
+    """The manifest entry of a Gamma posterior, which _gamma reads back:
+    its shape and rate parameters as a float or a list of floats."""
+    return {part: np.asarray(getattr(posterior, part), dtype=float).tolist()
+            for part in ("shape", "rate")}
 
 
 def load_manifest(directory):

@@ -4,24 +4,17 @@ predictive_arrays gives model-unit locations, squared scales and dof for a
 window matrix; one window u_n is the column U[:, [n]]. predict is the
 whole path from a raw input record to original output units: it keeps the
 normalized record, an N-vector, and turns it into windows one lag_blocks
-block at a time, so no I x N window matrix is built. Both drive one
-scoring kernel over blocks of SCORE_BLOCK windows. Per block it projects
-the windows on every factor mean once; the products of those projections
-give the locations and the other modes' column products h_d, and the
-parameter variance comes from the block's packed window square and the
+block at a time, so no I x N window matrix is built. Both are one
+features.fill_blocks walk with the scoring contraction. Per block it
+projects the windows on every factor mean once, folds those projections
+into the locations and the other modes' column products h_d, and takes
+the parameter variance from the block's packed window square and the
 covariance coefficients of the fit's second moments, which are built once
 per call and scaled in place. Beyond the model and a few N-vectors, the
 only large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per
 factor and one block's windows and window square. evaluate scores predict
-with the array metrics rmse and nll.
-
-nll evaluates the Student-t log density in closed form: with
-z = (y - loc)/scale,
-
-    ln poch(dof/2, 1/2) - (ln dof + ln pi)/2
-        - (dof + 1)/2 ln(1 + z^2/dof) - ln scale,
-
-where poch(a, 1/2) = Gamma(a + 1/2)/Gamma(a).
+with the array metrics rmse and nll, the Student-t log density in closed
+form.
 """
 
 from __future__ import annotations
@@ -34,69 +27,62 @@ from scipy.special import poch
 
 from .data import normalize_input
 from .features import (
-    SCORE_BLOCK,
     block_quadratics,
+    column_blocks,
+    fill_blocks,
+    hadamard,
     lag_blocks,
     moment_pairs,
     window_pairs,
 )
 
 
-def _hadamard(projections, skip=None):
-    """The product of the (R, B) projections W_d' U over d != skip, formed
-    as column_products forms it: ones, multiplied by each in mode order."""
-    out = np.ones_like(projections[0])
-    for d, proj in enumerate(projections):
-        if d != skip:
-            out *= proj
-    return out
-
-
-def _score(state, blocks, n_windows):
-    """Model-unit locations and squared scales for n_windows windows, given
-    as the (offset, U_block) pairs of `blocks`.
+def _scorer(state):
+    """The scoring contraction: a block of B windows to the (2, B) array of
+    their model-unit locations and squared scales.
 
     The squared scale is b_N/a_N plus one quadratic form per factor,
     g_d' Sigma_d g_d, with g_d = h_d kron u_n the mode-d design column at
     the posterior means. It is summed over the column pairs r <= s as
     (2 - delta_rs) h_r h_s q_rs, where q_rs = u_n' C_rs u_n comes from
     block_quadratics(Sigma_d) and the block's window_pairs; the
-    coefficients are built once and scaled by 2 - delta_rs in place.
+    coefficients are built once per contraction and scaled by 2 - delta_rs
+    in place.
     """
-    means = state.factor_means
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
     coefs = [block_quadratics(f.cov, state.rank, state.window)
              for f in state.factors]
     for c in coefs:
         c *= twice
-    locations = np.empty(n_windows)
-    scale_sq = np.full(n_windows, float(state.noise.rate / state.noise.shape))
-    for offset, block in blocks:
-        cols = slice(offset, offset + block.shape[1])
-        projections = [m.T @ block for m in means]
-        locations[cols] = _hadamard(projections).sum(axis=0)
+    noise_var = float(state.noise.rate / state.noise.shape)
+
+    def score(block):
+        shape = (state.rank, block.shape[1])
+        projections = [m.T @ block for m in state.factor_means]
+        out = np.full((2, block.shape[1]), noise_var)
+        out[0] = hadamard(projections, shape).sum(axis=0)
         uu = window_pairs(block)
         for d, c in enumerate(coefs):
-            h = _hadamard(projections, skip=d)
-            scale_sq[cols] += ((h[r] * h[s]) * (c @ uu)).sum(axis=0)
-        # free this block's square before the next one is built
-        del uu
-    return locations, scale_sq
+            h = hadamard(projections[:d] + projections[d + 1:], shape)
+            out[1] += ((h[r] * h[s]) * (c @ uu)).sum(axis=0)
+        return out
+
+    return score
 
 
 def predictive_arrays(state, U):
     """Locations, squared scales, and dof for every column of U (model units).
 
-    The columns go through the scoring kernel SCORE_BLOCK at a time; dof is
-    twice the noise shape.
+    The columns are scored column_blocks at a time; dof is twice the noise
+    shape.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[0] != state.window:
         raise ValueError(f"window matrix has shape {U.shape}, the model "
                          f"expects {state.window} rows")
-    blocks = ((b, U[:, b:b + SCORE_BLOCK]) for b in range(0, U.shape[1], SCORE_BLOCK))
-    locations, scale_sq = _score(state, blocks, U.shape[1])
+    locations, scale_sq = fill_blocks(column_blocks(U), (2,), U.shape[1],
+                                      _scorer(state))
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 
@@ -120,7 +106,7 @@ def predict(state, u, start=0):
         raise ValueError(f"nothing to predict: start {start} of {u.size} samples")
     record = state.normalization
     blocks = lag_blocks(normalize_input(u, record), state.memory, start)
-    locations, scales = _score(state, blocks, u.size - start)
+    locations, scales = fill_blocks(blocks, (2,), u.size - start, _scorer(state))
     # original units, in place
     locations *= record.output_std
     locations += record.output_mean
@@ -148,9 +134,10 @@ def nll(y, locations, scales, dof):
 
     The log density at y is ln poch(dof/2, 1/2) - (ln dof + ln pi)/2
     - (dof + 1)/2 ln(1 + z^2/dof) - ln scale, with z = (y - loc)/scale.
-    The ratio of gamma functions comes from one poch call: a difference of
-    log-gammas cancels at large dof. A dof or a scale that is not positive
-    and finite raises ValueError.
+    The ratio of gamma functions, poch(a, 1/2) = Gamma(a + 1/2)/Gamma(a),
+    comes from one poch call: a difference of log-gammas cancels at large
+    dof. A dof or a scale that is not positive and finite raises
+    ValueError.
     """
     y, locations = _paired(y, locations)
     scales = np.asarray(scales, dtype=float)

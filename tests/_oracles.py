@@ -38,7 +38,7 @@ from bayesvolterra import (
     synthesize,
     window_pairs,
 )
-from bayesvolterra.features import SCORE_BLOCK
+from bayesvolterra.features import SCORE_BLOCK, hadamard
 
 
 def kron_chain(columns):
@@ -332,6 +332,12 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def stack_product(stacks, rank, n_samples):
+    """The product of packed (R(R+1)/2, N) moment stacks as identify forms
+    it, for tests that compose the sweep's steps by hand."""
+    return hadamard(stacks, (rank * (rank + 1) // 2, n_samples))
 
 
 def full_window_synthesize(system, u, rng=None):

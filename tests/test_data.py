@@ -21,8 +21,8 @@ from bayesvolterra import (
     standardize_output,
     synthesize,
 )
-
-from bayesvolterra.features import SCORE_BLOCK
+from bayesvolterra import data
+from bayesvolterra.features import SCORE_BLOCK, lag_blocks
 
 from _oracles import (
     cpd_expand,
@@ -381,6 +381,20 @@ def test_center_output_rejects_a_flat_cofactor():
     system = SyntheticSystem([first, second])
     with pytest.raises(ValueError, match="degenerate"):
         center_output(system, u)
+
+
+def test_center_output_walks_its_input_once(monkeypatch):
+    # the cofactor means and the mean output come from one walk
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lag_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(data, "lag_blocks", counting)
+    u = np.random.default_rng(34).uniform(0.0, 1.0, 2 * SCORE_BLOCK + 9)
+    center_output(random_cpd_system(3, 5, 2, np.random.default_rng(35)), u)
+    assert len(calls) == 1
 
 
 def test_simulation_equals_the_full_window_formulas():

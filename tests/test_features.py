@@ -26,7 +26,7 @@ from bayesvolterra import (
     second_moments,
     window_pairs,
 )
-from bayesvolterra.features import SCORE_BLOCK
+from bayesvolterra.features import SCORE_BLOCK, column_blocks, hadamard
 
 from _oracles import (
     cpd_expand,
@@ -104,6 +104,11 @@ def test_lag_blocks_are_the_columns_of_the_window_matrix(n, memory, start):
         width = min(SCORE_BLOCK, n - start - offset)
         assert block.shape == (memory + 1, width)
         assert_array_equal(block, full[:, start + offset:start + offset + width])
+    # column_blocks slices a built window matrix into the same blocks
+    sliced = list(column_blocks(full[:, start:]))
+    assert [offset for offset, _ in sliced] == [offset for offset, _ in blocks]
+    for (_, column_block), (_, block) in zip(sliced, blocks, strict=True):
+        assert_array_equal(column_block, block)
 
 
 def test_lag_blocks_reject_bad_input():
@@ -258,6 +263,29 @@ def test_expected_output_matches_expansion_per_column():
     out = expected_output(U, means)
     for n in range(9):
         assert_allclose(out[n], expanded_output(means, U[:, n]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_hadamard_folds_left_into_a_new_array(count):
+    # bitwise the products the fold replaced: the packed-stack fold, which
+    # started from the first stack, and the column products, which started
+    # from ones
+    rng = np.random.default_rng(16)
+    arrays = [rng.standard_normal((6, 5)) for _ in range(count)]
+    copies = [a.copy() for a in arrays]
+    out = hadamard(arrays, (6, 5))
+    from_first = arrays[0].copy() if arrays else np.ones((6, 5))
+    from_ones = np.ones((6, 5))
+    for k, array in enumerate(arrays):
+        if k:
+            from_first = from_first * array
+        from_ones *= array
+    assert out.dtype == np.float64 and out.shape == (6, 5)
+    assert_array_equal(out, from_first)
+    assert_array_equal(out, from_ones)
+    assert not any(np.shares_memory(out, a) for a in arrays)
+    for array, copy in zip(arrays, copies, strict=True):
+        assert_array_equal(array, copy)
 
 
 def test_column_products_skip_leaves_out_one_factor():

@@ -38,11 +38,11 @@ from bayesvolterra import (
     window_pairs,
 )
 from bayesvolterra import inference
-from bayesvolterra.inference import stack_product
 
 from _oracles import (
     full_second_moments,
     make_rank2_data,
+    stack_product,
     traced_peak,
     unpack,
     vb_linear_oracle,
@@ -118,6 +118,25 @@ def test_fit_config_validation():
         FitConfig(order=1, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order", 2.0), ("order", True), ("order", "2"), ("rank", 2.5),
+    ("rank", np.float64(2.0)), ("rank", np.True_), ("max_iter", 3.5),
+    ("max_iter", False), ("seed", 1.5), ("seed", True), ("seed", None),
+])
+def test_fit_config_refuses_fields_that_are_not_integers(field, value):
+    settings = {"order": 2, "rank": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        FitConfig(**settings)
+
+
+def test_fit_config_stores_numpy_integers_as_ints():
+    config = FitConfig(order=np.int64(2), rank=np.int32(3), max_iter=np.uint8(4),
+                       seed=np.int16(5))
+    values = (config.order, config.rank, config.max_iter, config.seed)
+    assert values == (2, 3, 4, 5)
+    assert all(type(value) is int for value in values)
+
+
 def test_factor_update_zero_targets_give_zero_means():
     U, _ = regression_problem(0, n=50, memory=3)
     state = init_state(2, 3, 2, seed=0)
@@ -187,12 +206,6 @@ def test_factor_update_matches_brute_force_assembly():
     posterior = update(state, U, y, 0)
     assert_allclose(posterior.cov, cov, rtol=1e-10)
     assert_allclose(posterior.mean[:, 0], mean, rtol=1e-10)
-
-
-def test_stack_product_of_no_stacks_is_packed_ones():
-    assert_array_equal(stack_product([], 3, 5), np.ones((6, 5)))
-    stacks_ = [np.full((6, 5), 2.0), np.full((6, 5), 3.0)]
-    assert_array_equal(stack_product(stacks_, 3, 5), np.full((6, 5), 6.0))
 
 
 def spd_problem(seed, size=40):

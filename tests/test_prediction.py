@@ -20,7 +20,7 @@ from bayesvolterra import (
     predictive_arrays,
     rmse,
 )
-from bayesvolterra.prediction import SCORE_BLOCK
+from bayesvolterra.features import SCORE_BLOCK
 
 from _oracles import (
     full_window_predict,
