@@ -193,9 +193,12 @@ def _cmd_identify(args):
     U_est = build_lagged_matrix(normalize_input(u_est, record), args.memory)
     y_model = standardize_output(y_est, record)
     priors = args.priors if args.priors is not None else PriorConfig()
+    # without --split the estimation record is the whole record
+    start = (n_est if args.split is not None else 0) + args.skip_warmup
 
-    runs = []
-    for k in range(args.seeds):
+    runs = []  # one row of scalars per seed
+    best = None
+    for seed in range(args.seed, args.seed + args.seeds):
         config = FitConfig(
             order=args.order,
             rank=args.rank,
@@ -203,39 +206,33 @@ def _cmd_identify(args):
             elbo_rel_tol=args.tol,
             truncation_threshold=args.truncate_tol,
             lag_sparsity=(args.delta == "on"),
-            seed=args.seed + k,
+            seed=seed,
         )
         started = time.perf_counter()
         state, trace = identify(U_est, y_model, config, priors=priors,
                                 normalization=record)
         runtime = time.perf_counter() - started
-        if args.split is not None:
-            report = prediction.evaluate(state, dataset.u, dataset.y,
-                                         start=n_est + args.skip_warmup)
-        else:
-            report = prediction.evaluate(state, u_est, y_est,
-                                         start=args.skip_warmup)
+        report = prediction.evaluate(state, dataset.u, dataset.y, start=start)
         runs.append({
-            "seed": config.seed,
+            "seed": seed,
             "rmse": report.rmse,
             "nll": report.nll,
             "final_rank": state.rank,
             "elbo": trace.final_elbo,
             "runtime_s": runtime,
-            "state": state,
-            "trace": trace,
         })
+        # only the best-ELBO fit outlives its iteration; a tie keeps the first
+        if best is None or runs[-1]["elbo"] > best[2]["elbo"]:
+            best = state, trace, runs[-1]
+        del state, trace
 
-    best = max(runs, key=lambda run: run["elbo"])
     if args.out is not None:
-        info = {key: best[key] for key in
-                ("seed", "rmse", "nll", "final_rank", "elbo", "runtime_s")}
-        save_model(best["state"], args.out, info=info)
-        _write_trace(args.out / TRACE_NAME, best["trace"])
+        state, trace, row = best
+        save_model(state, args.out, info=row)
+        _write_trace(args.out / TRACE_NAME, trace)
 
     if len(runs) == 1:
-        run = runs[0]
-        metrics = {key: run[key] for key in
+        metrics = {key: runs[0][key] for key in
                    ("rmse", "nll", "final_rank", "elbo", "runtime_s", "seed")}
     else:
         metrics = {}

@@ -14,22 +14,18 @@ one left fold, hadamard. The model output, design columns and synthetic
 records come from column_products, the (R, N) stack of per-column
 products prod_d (W_d' u_n). The second-moment and expected-Gram routines
 are where the inference loop spends its time. Both contract against the
-packed window square window_pairs(U), the (I(I+1)/2, N) rows u_i u_j for
-i <= j, which the caller builds once per fit; block_quadratics turns a
-factor covariance into the coefficients that map it to the quadratic
-forms u_n' C_rs u_n, which the predictive variance uses as well. A
-second-moment stack is symmetric in its column pair (r, s), so it is
-stored packed: an (R(R+1)/2, N) array holding the pairs r <= s in
-moment_pairs order, and an elementwise product of packed stacks is the
-packed product. Each reduction over samples has one implementation, a
-dense product or sum; a fit repeats bit for bit at a fixed seed and BLAS
-thread count.
+packed window square window_pairs(U), which the caller builds once per
+fit; block_quadratics turns a factor covariance into the coefficients
+that map it to the quadratic forms u_n' C_rs u_n, which the predictive
+variance uses as well. Every symmetric pair array, the window square, a
+second-moment stack and a covariance's coefficients, is packed by the one
+rule of _bands, and an elementwise product of packed stacks is the packed
+product. Each reduction over samples has one implementation, a dense
+product or sum; a fit repeats bit for bit at a fixed seed and BLAS thread
+count.
 
-The kernels make no gathers of full size. block_quadratics reads the
-covariance one band of column pairs (r, s >= r) at a time through views,
-expected_gram gathers and writes one such band of I x I blocks at a
-time, and second_moments adds the plug-in products to the quadratic forms
-one band at a time, so beyond its (R(R+1)/2, N) output it holds only
+The kernels make no gathers of full size: each walks its pairs one band
+of _bands at a time, so beyond its output second_moments holds only
 O(R N) and O(R(R+1)/2 I(I+1)/2) scratch.
 """
 
@@ -153,13 +149,23 @@ def design_matrix(U, means, mode):
     return khatri_rao(column_products(U, means, skip=mode), U)
 
 
-def moment_pairs(rank):
-    """The column pairs (r, s) of a packed moment stack, one per row.
+def _bands(n):
+    """Yield (a, rows) for a < n: the band of packed rows holding the pairs
+    (a, b) for b = a, a + 1, ..., n - 1, in that order.
 
-    Row p of a packed stack holds pair (r[p], s[p]): the upper triangle
-    r <= s of the symmetric R x R matrix, in np.triu_indices order (r
-    slow). Its R(R+1)/2 rows are the only layout the stacks have.
+    This is the one packed layout of a symmetric pair array: the n(n+1)/2
+    pairs a <= b of n items, one per row, in np.triu_indices(n) order (a
+    slow), so band a is the n - a rows after the bands 0 ... a - 1.
     """
+    stop = 0
+    for a in range(n):
+        start, stop = stop, stop + n - a
+        yield a, slice(start, stop)
+
+
+def moment_pairs(rank):
+    """The column pairs (r, s) of a packed moment stack, one per row, in the
+    layout of _bands: np.triu_indices(rank)."""
     return np.triu_indices(rank)
 
 
@@ -183,21 +189,20 @@ def _packed_rank(rows):
 
 
 def window_pairs(U):
-    """The packed window square: the (I(I+1)/2, N) products u_i u_j, i <= j.
+    """The packed square of the rows of any (I, N) matrix: the (I(I+1)/2, N)
+    products U[i] * U[j] for i <= j, in the layout of _bands.
 
-    Row q holds the pair (i, j) of np.triu_indices(I), the rows of
-    khatri_rao(U, U) with i <= j; the rest of that square repeats them.
-    The rows are filled one band of equal i at a time, in place.
+    These are the rows of khatri_rao(U, U) with i <= j; the rest of that
+    square repeats them. Each entry is one product, written in place. Of
+    the window matrix it is the packed window square u_i u_j.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise ValueError(f"window matrix has shape {U.shape}, expected a matrix")
     window = U.shape[0]
     out = np.empty((window * (window + 1) // 2, U.shape[1]))
-    row = 0
-    for i in range(window):
-        np.multiply(U[i], U[i:], out=out[row:row + window - i])
-        row += window - i
+    for i, rows in _bands(window):
+        np.multiply(U[i], U[i:], out=out[rows])
     return out
 
 
@@ -207,9 +212,9 @@ def block_quadratics(cov, rank, window):
     C_rs is the I x I block of the (R*I, R*I) covariance coupling columns
     r and s (column index slow), for the pair (r, s) = moment_pairs(R)[p].
     The result is (R(R+1)/2, I(I+1)/2): C_rs[i, j] + C_rs[j, i] for the
-    window pair i < j, and C_rs[i, i] on the diagonal. The rows are built
-    one band of equal r at a time, from a view of the covariance's blocks
-    (r, s >= r), so no (R(R+1)/2, I, I) copy of the blocks is made.
+    window pair i < j, and C_rs[i, i] on the diagonal. Each band of rows
+    is built from a view of the covariance's blocks (r, s >= r), so no
+    (R(R+1)/2, I, I) copy of the blocks is made.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (window * rank, window * rank):
@@ -218,12 +223,10 @@ def block_quadratics(cov, rank, window):
     blocks = cov.reshape(rank, window, rank, window)
     i, j = np.triu_indices(window)
     out = np.empty((rank * (rank + 1) // 2, i.size))
-    row = 0
-    for r in range(rank):
+    for r, rows in _bands(rank):
         # the blocks (r, s) for s >= r, as an (R - r, I, I) view
         band = blocks[r, :, r:, :].transpose(1, 0, 2)
-        np.add(band[:, i, j], band[:, j, i], out=out[row:row + rank - r])
-        row += rank - r
+        np.add(band[:, i, j], band[:, j, i], out=out[rows])
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
     out[:, i == j] *= 0.5
     return out
@@ -245,8 +248,8 @@ def second_moments(U, mean, cov, uu):
     columns r and s (column index slow). The quadratic forms are
     block_quadratics(cov) @ uu, with `uu` the packed window square
     window_pairs(U); that product is the output, and the plug-in products
-    are added to it one band of equal r at a time, so no other array of
-    the output's size is made.
+    are added to it band by band, so no other array of the output's size
+    is made.
     """
     mean = np.asarray(mean, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -256,10 +259,8 @@ def second_moments(U, mean, cov, uu):
     _check_pairs(U, uu)
     out = block_quadratics(cov, rank, window) @ uu
     proj = mean.T @ U
-    row = 0
-    for r in range(rank):
-        out[row:row + rank - r] += proj[r] * proj[r:]
-        row += rank - r
+    for r, rows in _bands(rank):
+        out[rows] += proj[r] * proj[r:]
     return out
 
 
@@ -274,11 +275,10 @@ def expected_gram(U, weights, uu):
     of an I x I block is computed once, for r <= s and i <= j, and placed
     at (i, j) and (j, i) of the block, which goes to both (r, s) and
     (s, r): the block is its own transpose, so the Gram is exactly
-    symmetric. The blocks are written one band of column pairs (r, s >= r)
-    at a time: one gather through the symmetric I x I index of the window
-    pairs gives the band's (R - r, I, I) blocks, which are copied to the
-    block row r and the block column r of the output. The result is the
-    only (R*I)^2 array made.
+    symmetric. The blocks are written band by band: one gather through the
+    symmetric I x I index of the window pairs gives band r's (R - r, I, I)
+    blocks, which are copied to the block row r and the block column r of
+    the output. The result is the only (R*I)^2 array made.
     """
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -294,12 +294,10 @@ def expected_gram(U, weights, uu):
     symmetric = np.empty((window, window), dtype=np.intp)
     symmetric[i, j] = symmetric[j, i] = np.arange(i.size)
     gram = np.empty((rank, window, rank, window))
-    row = 0
-    for r in range(rank):
-        band = flat[row:row + rank - r][:, symmetric]
+    for r, rows in _bands(rank):
+        band = flat[rows][:, symmetric]
         gram[r, :, r:, :] = band.transpose(1, 0, 2)
         gram[r:, :, r, :] = band
-        row += rank - r
     return gram.reshape(rank * window, rank * window)
 
 

@@ -78,6 +78,14 @@ class FitConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        # a string such as "off" would be truthy, and True would read as 1.0
+        if not isinstance(self.lag_sparsity, (bool, np.bool_)):
+            raise ValueError(f"lag_sparsity must be a boolean, got {self.lag_sparsity!r}")
+        self.lag_sparsity = bool(self.lag_sparsity)
+        for name in ("elbo_rel_tol", "truncation_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if self.rank < 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -27,6 +28,9 @@ class PriorConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            # a boolean or a string is refused, not read as 1.0 or parsed
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"prior constant {name} must be a number, got {value!r}")
             value = float(value)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"prior constant {name} must be positive and finite")

@@ -31,10 +31,14 @@ def save_model(state, directory, info=None):
     """Write a model directory; returns its path.
 
     `info` is an optional JSON-serializable dict stored verbatim in the
-    manifest (fit metadata such as seed, final bound, runtime).
+    manifest (fit metadata such as seed, final bound, runtime). The
+    manifest is written last, and an old one is removed before the first
+    blob, so a save that stops partway leaves a directory that does not
+    load rather than an old manifest beside new blobs.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / MANIFEST_NAME).unlink(missing_ok=True)
     # load_model derives the blobs from the sizes; format version 1 keeps
     # the list for readers outside this package
     blobs = []
@@ -69,7 +73,8 @@ def _gamma_entry(posterior):
 
 
 def load_manifest(directory):
-    """Read and version-check a model manifest."""
+    """Read and version-check a model manifest: a JSON object whose `info`,
+    when present, is an object too."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise ModelFormatError(f"{path}: manifest not found")
@@ -77,6 +82,11 @@ def load_manifest(directory):
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: manifest must be a JSON object, "
+                               f"got {type(manifest).__name__}")
+    if not isinstance(manifest.get("info", {}), dict):
+        raise ModelFormatError(f"{path}: info must be an object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(

@@ -7,14 +7,15 @@ normalized record, an N-vector, and turns it into windows one lag_blocks
 block at a time, so no I x N window matrix is built. Both are one
 features.fill_blocks walk with the scoring contraction. Per block it
 projects the windows on every factor mean once, folds those projections
-into the locations and the other modes' column products h_d, and takes
-the parameter variance from the block's packed window square and the
-covariance coefficients of the fit's second moments, which are built once
-per call and scaled in place. Beyond the model and a few N-vectors, the
-only large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per
-factor and one block's windows and window square. evaluate scores predict
-with the array metrics rmse and nll, the Student-t log density in closed
-form.
+into the locations and the other modes' cofactors h_d, and takes the
+parameter variance from two packed squares, window_pairs of the block's
+windows and of each h_d, and the covariance coefficients of the fit's
+second moments, which are built once per call and scaled in place. All
+three are packed in the one pair layout of the features module. Beyond
+the model and a few N-vectors, the only large arrays are one
+(R(R+1)/2, I(I+1)/2) coefficient array per factor and one block's
+windows and window square. evaluate scores predict with the array
+metrics rmse and nll, the Student-t log density in closed form.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _scorer(state):
     The squared scale is b_N/a_N plus one quadratic form per factor,
     g_d' Sigma_d g_d, with g_d = h_d kron u_n the mode-d design column at
     the posterior means. It is summed over the column pairs r <= s as
-    (2 - delta_rs) h_r h_s q_rs, where q_rs = u_n' C_rs u_n comes from
-    block_quadratics(Sigma_d) and the block's window_pairs; the
-    coefficients are built once per contraction and scaled by 2 - delta_rs
-    in place.
+    (2 - delta_rs) h_r h_s q_rs, where h_r h_s is a row of window_pairs(h_d)
+    and q_rs = u_n' C_rs u_n comes from block_quadratics(Sigma_d) and the
+    block's window_pairs; the coefficients are built once per contraction
+    and scaled by 2 - delta_rs in place.
     """
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
@@ -65,7 +66,7 @@ def _scorer(state):
         uu = window_pairs(block)
         for d, c in enumerate(coefs):
             h = hadamard(projections[:d] + projections[d + 1:], shape)
-            out[1] += ((h[r] * h[s]) * (c @ uu)).sum(axis=0)
+            out[1] += (window_pairs(h) * (c @ uu)).sum(axis=0)
         return out
 
     return score
@@ -93,12 +94,15 @@ def predict(state, u, start=0):
     into windows by lag_blocks, so the windows after `start` see the true
     past; they are scored a block at a time, like predictive_arrays on
     those columns of the window matrix. A non-finite input, or a `start`
-    that is not an integer index into u, raises ValueError.
+    that is not an integer index into u (a boolean among them), raises
+    ValueError.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("input record must be finite")
     try:
+        if isinstance(start, bool):  # operator.index(True) is 1
+            raise TypeError
         start = operator.index(start)
     except TypeError:
         raise ValueError(f"start must be an integer, got {start!r}") from None

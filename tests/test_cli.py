@@ -1,11 +1,14 @@
 """End-to-end command-line workflows on synthetic data."""
 
 import csv
+import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +19,7 @@ from numpy.testing import assert_array_equal
 from bayesvolterra import (
     Dataset,
     FitTrace,
+    ModelFormatError,
     evaluate,
     load_csv,
     load_manifest,
@@ -23,7 +27,9 @@ from bayesvolterra import (
     predict,
     save_csv,
 )
+from bayesvolterra import cli
 from bayesvolterra.cli import _write_trace, main
+from bayesvolterra.inference import identify
 
 from _oracles import make_fading_data, reference_write_csv
 
@@ -240,6 +246,54 @@ def test_seed_sweep_saves_the_best_run(pipeline, tmp_path):
     saved = json.loads(out.read_text())
     assert saved["seed"] in (3, 4)
     assert np.isfinite(saved["elbo"])
+
+
+def test_seed_sweep_keeps_only_the_best_fit(pipeline, tmp_path, monkeypatch):
+    # a fit that is not the best so far is dropped before the next starts
+    fitted, live = [], []
+
+    def counting(*args, **kwargs):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in fitted))
+        state, trace = identify(*args, **kwargs)
+        fitted.append(weakref.ref(state))
+        return state, trace
+
+    monkeypatch.setattr(cli, "identify", counting)
+    assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                 "--memory", "3", "--rank", "2", "--max-iter", "10",
+                 "--split", "800", "--seed", "3", "--seeds", "3",
+                 "--out", str(tmp_path / "model"),
+                 "--metrics-out", str(tmp_path / "sweep.json")]) == 0
+    assert live == [0, 1, 1]
+
+
+@pytest.mark.parametrize("damage", ["[1, 2]", "null", "3", '"model"', "info"])
+@pytest.mark.parametrize("command", ["library", "evaluate", "predict", "report"])
+def test_manifest_that_is_not_an_object_is_an_error(pipeline, tmp_path, capsys,
+                                                    command, damage):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline.model, model)
+    path = model / "manifest.json"
+    if damage == "info":
+        manifest = json.loads(path.read_text())
+        manifest["info"] = [1, 2]
+        damage = json.dumps(manifest)
+    path.write_text(damage)
+    if command == "library":
+        for reader in (load_manifest, load_model):
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: "):
+                reader(model)
+        return
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--model", str(model), "--delta-profile", str(out)]
+    else:
+        argv = [command, "--model", str(model), "--data", str(pipeline.data),
+                "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
 
 
 def test_evaluate_requires_a_model():

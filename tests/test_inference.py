@@ -116,6 +116,18 @@ def test_fit_config_validation():
             FitConfig(order=1, truncation_threshold=bad)
     with pytest.raises(ValueError, match="seed"):
         FitConfig(order=1, seed=-1)
+    # booleans and strings are not read as numbers or flags
+    for bad in ("off", "on", 0, 1, None):
+        with pytest.raises(ValueError, match="lag_sparsity"):
+            FitConfig(order=1, lag_sparsity=bad)
+    for name in ("elbo_rel_tol", "truncation_threshold"):
+        for bad in (True, np.True_, "1e-3", None):
+            with pytest.raises(ValueError, match=name):
+                FitConfig(order=1, **{name: bad})
+    for bad in (True, np.True_, "0.5"):
+        with pytest.raises(ValueError, match="noise_shape"):
+            PriorConfig(noise_shape=bad)
+    assert FitConfig(order=1, lag_sparsity=np.False_).lag_sparsity is False
 
 
 @pytest.mark.parametrize("field, value", [

@@ -315,3 +315,24 @@ def test_prior_too_large_for_a_float_is_rejected(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match="malformed manifest"):
         load_model(directory)
+
+
+def test_a_save_that_stops_partway_does_not_load(tmp_path, monkeypatch):
+    # the old manifest is removed before the first blob is written, so an
+    # interrupted save over a model cannot load as a mix of old and new
+    directory = save_model(random_state(9), tmp_path / "model")
+    write_bytes = type(directory).write_bytes
+    calls = []
+
+    def failing(path, data):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(type(directory), "write_bytes", failing)
+    with pytest.raises(OSError, match="no space"):
+        save_model(random_state(9), directory)
+    monkeypatch.undo()
+    with pytest.raises(ModelFormatError, match="manifest not found"):
+        load_model(directory)

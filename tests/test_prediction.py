@@ -271,7 +271,7 @@ def test_predict_refuses_a_start_that_is_not_an_integer():
     state = scoring_state(11, memory=3)
     u = np.random.default_rng(11).uniform(0.0, 1.0, 40)
     y = np.zeros(40)
-    for bad in (2.5, 2.0, "2", None):
+    for bad in (2.5, 2.0, "2", None, True, np.True_):
         with pytest.raises(ValueError, match="start"):
             predict(state, u, start=bad)
         with pytest.raises(ValueError, match="start"):
