@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .data import (
     synthesize,
     write_csv,
 )
-from .errors import BayesVolterraError
+from .errors import BayesVolterraError, checked
 from .features import build_lagged_matrix
 from .inference import FitConfig, identify
 from .model import PriorConfig
@@ -35,23 +36,19 @@ TRACE_NAME = "trace.csv"
 
 def _number(label, kind, minimum, strict=False):
     """Argument type for a finite `kind` (int or float) of at least
-    `minimum`, or above it when `strict`; NaN fails either comparison."""
+    `minimum`, or above it when `strict`: the text converted by `kind`,
+    then checked by errors.checked."""
     noun = "an integer" if kind is int else "a number"
-    if strict:
-        rule = "positive" if minimum == 0 else f"greater than {minimum}"
-    else:
-        rule = "nonnegative" if minimum == 0 else f"at least {minimum}"
 
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{label} must be {noun}") from None
-        if not (value > minimum if strict else value >= minimum):
-            raise argparse.ArgumentTypeError(f"{label} must be {rule}")
-        if value == float("inf"):
-            raise argparse.ArgumentTypeError(f"{label} must be finite")
-        return value
+        try:
+            return checked(label, value, kind, minimum, strict)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
     return parse
 
@@ -98,24 +95,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identify", help="fit a model to a u,y record")
+    # the fit's defaults live in FitConfig alone
+    fit = {f.name: f.default for f in dataclasses.fields(FitConfig)}
     p.add_argument("--data", required=True, type=Path, help="input CSV (header u,y)")
     p.add_argument("--order", required=True, type=_number("order", int, 1),
                    help="Volterra order D")
     p.add_argument("--memory", required=True, type=_number("memory", int, 1),
                    help="memory length M (the window adds a constant term)")
-    p.add_argument("--rank", type=_number("rank", int, 1), default=20,
-                   help="initial CPD rank (default 20)")
-    p.add_argument("--max-iter", type=_number("max-iter", int, 1), default=200)
-    p.add_argument("--tol", type=_number("tol", float, 0, strict=True), default=1e-6,
-                   help="relative bound change declaring convergence")
-    p.add_argument("--truncate-tol", default=1e-3,
-                   type=_number("truncate-tol", float, 0, strict=True),
-                   help="relative column-RMS truncation threshold")
-    p.add_argument("--seed", type=_number("seed", int, 0), default=0)
+    p.add_argument("--rank", type=_number("rank", int, 1), default=fit["rank"],
+                   help="initial CPD rank (default %(default)s)")
+    p.add_argument("--max-iter", type=_number("max-iter", int, 1),
+                   default=fit["max_iter"], help="sweep cap (default %(default)s)")
+    p.add_argument("--tol", type=_number("tol", float, 0, strict=True),
+                   default=fit["elbo_rel_tol"],
+                   help="relative bound change declaring convergence "
+                   "(default %(default)s)")
+    p.add_argument("--truncate-tol", type=_number("truncate-tol", float, 0, strict=True),
+                   default=fit["truncation_threshold"],
+                   help="relative column-RMS truncation threshold (default %(default)s)")
+    p.add_argument("--seed", type=_number("seed", int, 0), default=fit["seed"],
+                   help="first seed of the random start (default %(default)s)")
     p.add_argument("--seeds", type=_number("seeds", int, 1), default=1,
                    help="run this many consecutive seeds and aggregate metrics")
-    p.add_argument("--delta", choices=("on", "off"), default="on",
-                   help="learn per-lag precisions (off fixes them at 1)")
+    p.add_argument("--delta", choices=("on", "off"),
+                   default="on" if fit["lag_sparsity"] else "off",
+                   help="learn per-lag precisions (off fixes them at 1; "
+                   "default %(default)s)")
     p.add_argument("--priors", type=_parse_priors, default=None,
                    metavar="a0,b0,c0,d0,g0,h0",
                    help="Gamma prior constants: noise, column, row pairs")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, checked
 from .features import (
     column_products,
     expected_output,
@@ -165,12 +165,13 @@ def write_csv(path, header, columns):
 
 def split_count(n, split):
     """Estimation sample count from a --split value (count or fraction)."""
-    if isinstance(split, float) and not split.is_integer():
-        if not 0.0 < split < 1.0:
-            raise ValueError(f"fractional split must be in (0, 1), got {split}")
-        count = int(round(n * split))
+    value = checked("split", split)
+    if not value.is_integer():
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"fractional split must be in (0, 1), got {value}")
+        count = int(round(n * value))
     else:
-        count = int(split)
+        count = int(value)
     if not 1 <= count < n:
         raise ValueError(f"split leaves no data: {count} of {n} samples")
     return count
@@ -214,8 +215,7 @@ class SyntheticSystem:
 
     def __post_init__(self):
         check_factors(self.factors)
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError("noise_std must be nonnegative and finite")
+        self.noise_std = checked("noise_std", self.noise_std, minimum=0)
 
     @property
     def order(self):

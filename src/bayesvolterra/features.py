@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .errors import checked
 from .tensor_ops import check_factors, khatri_rao
 
 # windows per block wherever a record is turned into windows one block at a
@@ -43,12 +44,12 @@ SCORE_BLOCK = 512
 
 
 def _check_signal(u, memory):
+    """The checked memory of a window matrix of the nonempty vector u."""
     if u.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     if u.size == 0:
         raise ValueError("signal is empty")
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
+    return checked("memory", memory, int, minimum=1)
 
 
 def build_lagged_matrix(signal, memory):
@@ -59,7 +60,7 @@ def build_lagged_matrix(signal, memory):
     are zero.
     """
     u = np.asarray(signal, dtype=float)
-    _check_signal(u, memory)
+    memory = _check_signal(u, memory)
     n = u.size
     out = np.zeros((memory + 1, n))
     out[0] = 1.0
@@ -80,7 +81,8 @@ def lag_blocks(signal, memory, start=0):
     one block's windows exist at a time.
     """
     u = np.asarray(signal, dtype=float)
-    _check_signal(u, memory)
+    memory = _check_signal(u, memory)
+    start = checked("start", start, int)
     if not 0 <= start < u.size:
         raise ValueError(f"start {start} is outside the {u.size} samples")
     for begin in range(start, u.size, SCORE_BLOCK):

@@ -27,7 +27,6 @@ warn with a RuntimeWarning.
 
 from __future__ import annotations
 
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 from scipy.special import digamma, gammaln
 
-from .errors import NumericFailure
+from .errors import NumericFailure, checked
 from .features import (
     column_products,
     expected_gram,
@@ -71,33 +70,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # booleans and integral floats are refused too: a saved model
-        # stores these fields as JSON integers
-        for name in ("order", "rank", "max_iter", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+        # integral floats are refused too: a saved model stores these
+        # fields as JSON integers
+        for name, minimum in (("order", 1), ("rank", 1), ("max_iter", 1), ("seed", 0)):
+            setattr(self, name, checked(name, getattr(self, name), int, minimum))
+        for name in ("elbo_rel_tol", "truncation_threshold"):
+            setattr(self, name, checked(name, getattr(self, name), minimum=0, strict=True))
         # a string such as "off" would be truthy, and True would read as 1.0
         if not isinstance(self.lag_sparsity, (bool, np.bool_)):
             raise ValueError(f"lag_sparsity must be a boolean, got {self.lag_sparsity!r}")
         self.lag_sparsity = bool(self.lag_sparsity)
-        for name in ("elbo_rel_tol", "truncation_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0 < self.elbo_rel_tol < np.inf:
-            raise ValueError("elbo_rel_tol must be positive and finite")
-        if not 0 < self.truncation_threshold < np.inf:
-            raise ValueError("truncation_threshold must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -364,8 +346,7 @@ def truncate_rank(state, threshold):
     rank did not change; a packed moment stack m of an old factor is
     m[kept_pairs(keep, R)] for the new, R being the old rank.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    threshold = checked("threshold", threshold, minimum=0, strict=True)
     rank = state.rank
     score = np.zeros(rank)
     for f in state.factors:

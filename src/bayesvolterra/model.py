@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from scipy.special import digamma
+
+from .errors import checked
 
 
 @dataclass
@@ -28,13 +29,8 @@ class PriorConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            # a boolean or a string is refused, not read as 1.0 or parsed
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"prior constant {name} must be a number, got {value!r}")
-            value = float(value)
-            if not np.isfinite(value) or value <= 0:
-                raise ValueError(f"prior constant {name} must be positive and finite")
-            setattr(self, name, value)
+            setattr(self, name, checked(f"prior constant {name}", value,
+                                        minimum=0, strict=True))
 
 
 @dataclass
@@ -85,8 +81,7 @@ class NormalizationRecord:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise ValueError(f"normalization {name} must be finite")
+            setattr(self, name, checked(f"normalization {name}", value))
         if not self.input_max > self.input_min:
             raise ValueError("input_max must exceed input_min")
         if not self.output_std > 0:
@@ -140,12 +135,9 @@ def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
     initial degree-D products stay O(1) on normalized inputs; covariances
     start at identity; every Gamma posterior starts at its prior.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    order = checked("order", order, int, minimum=1)
+    memory = checked("memory", memory, int, minimum=1)
+    rank = checked("rank", rank, int, minimum=1)
     priors = priors if priors is not None else PriorConfig()
     window = memory + 1
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, checked
 from .model import (
     FactorPosterior,
     GammaPosterior,
@@ -96,20 +96,6 @@ def load_manifest(directory):
     return manifest
 
 
-def _size(manifest_path, name, value):
-    """A size stored in the manifest: a JSON integer of at least 1.
-
-    Fractions, booleans and strings are refused rather than converted, so
-    a damaged manifest cannot load as a model of another size.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"{manifest_path}: {name} must be an integer, "
-                               f"got {value!r}")
-    if value < 1:
-        raise ModelFormatError(f"{manifest_path}: {name} must be at least 1")
-    return value
-
-
 def _read_blob(path, shape):
     """A float64 blob of `shape`, which the manifest sizes determine."""
     if not path.is_file():
@@ -127,51 +113,37 @@ def _read_blob(path, shape):
     return array
 
 
-def _number(manifest_path, name, value):
-    """A value stored in the manifest as a JSON number: an int or a float.
-
-    Booleans, strings and null are refused rather than converted, so
-    `true` cannot load as 1.0 nor "0.5" as 0.5.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{manifest_path}: {name} must be a number, "
-                               f"got {value!r}")
-    return value
-
-
-def _numbers(manifest_path, name, value):
-    """A JSON number or a (nested) list of them; the shape is checked later."""
+def _numbers(name, value):
+    """A JSON number, or a (nested) list of them, as floats; the shape is
+    checked later. Booleans, strings and null are refused rather than
+    converted, so `true` cannot load as 1.0 nor "0.5" as 0.5."""
     if isinstance(value, list):
-        for i, item in enumerate(value):
-            _numbers(manifest_path, f"{name}[{i}]", item)
-        return value
-    return _number(manifest_path, name, value)
+        return [_numbers(f"{name}[{i}]", item) for i, item in enumerate(value)]
+    return checked(name, value, finite=False)
 
 
-def _fields(manifest_path, manifest, group):
-    """The manifest object `group`, each of whose values is a JSON number."""
+def _fields(manifest, group):
+    """The manifest object `group`, each of whose values is a JSON number;
+    the config built from it checks their range."""
     fields = manifest[group]
     if not isinstance(fields, dict):
-        raise ModelFormatError(f"{manifest_path}: {group} must be an object")
-    for key, value in fields.items():
-        _number(manifest_path, f"{group}.{key}", value)
-    return fields
+        raise ValueError(f"{group} must be an object")
+    return {key: checked(f"{group}.{key}", value, finite=False)
+            for key, value in fields.items()}
 
 
-def _gamma(manifest_path, posteriors, name, shape):
+def _gamma(posteriors, name, shape):
     """The stored Gamma posterior `name`: shape and rate parameters of
     array shape `shape` (a scalar when empty), positive and finite."""
     parts = []
     for part in ("shape", "rate"):
-        raw = _numbers(manifest_path, f"posteriors.{name}.{part}",
-                       posteriors[name][part])
-        values = np.asarray(raw, dtype=float)
+        values = np.asarray(_numbers(f"posteriors.{name}.{part}", posteriors[name][part]),
+                            dtype=float)
         if values.shape != shape:
-            raise ModelFormatError(f"{manifest_path}: {name} {part} has shape "
-                                   f"{list(values.shape)}, expected {list(shape)}")
+            raise ValueError(f"{name} {part} has shape {list(values.shape)}, "
+                             f"expected {list(shape)}")
         if not (np.isfinite(values).all() and (values > 0).all()):
-            raise ModelFormatError(f"{manifest_path}: {name} {part} "
-                                   "must be positive and finite")
+            raise ValueError(f"{name} {part} must be positive and finite")
         parts.append(values if shape else float(values))
     return GammaPosterior(*parts)
 
@@ -190,22 +162,22 @@ def load_model(directory):
     manifest = load_manifest(directory)
     manifest_path = directory / MANIFEST_NAME
     try:
-        order, memory, rank = (_size(manifest_path, name, manifest[name])
+        order, memory, rank = (checked(name, manifest[name], int, minimum=1)
                                for name in ("order", "memory", "rank"))
         window = memory + 1
-        priors = PriorConfig(**_fields(manifest_path, manifest, "priors"))
-        normalization = NormalizationRecord(
-            **_fields(manifest_path, manifest, "normalization"))
+        priors = PriorConfig(**_fields(manifest, "priors"))
+        normalization = NormalizationRecord(**_fields(manifest, "normalization"))
         posteriors = manifest["posteriors"]
-        noise = _gamma(manifest_path, posteriors, "noise", ())
-        col_prec = _gamma(manifest_path, posteriors, "col_prec", (rank,))
-        row_prec = _gamma(manifest_path, posteriors, "row_prec", (window,))
+        noise = _gamma(posteriors, "noise", ())
+        col_prec = _gamma(posteriors, "col_prec", (rank,))
+        row_prec = _gamma(posteriors, "row_prec", (window,))
         row_prec_fixed = manifest["row_prec_fixed"]
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        if not isinstance(row_prec_fixed, bool):
+            raise ValueError(f"row_prec_fixed must be a boolean, got {row_prec_fixed!r}")
+    except ValueError as err:
+        raise ModelFormatError(f"{manifest_path}: {err}") from err
+    except (KeyError, TypeError, OverflowError) as err:
         raise ModelFormatError(f"{directory}: malformed manifest ({err})") from err
-    if not isinstance(row_prec_fixed, bool):
-        raise ModelFormatError(f"{manifest_path}: row_prec_fixed must be a boolean, "
-                               f"got {row_prec_fixed!r}")
     side = window * rank
     factors = []
     for d in range(order):

@@ -20,13 +20,13 @@ metrics rmse and nll, the Student-t log density in closed form.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import poch
 
 from .data import normalize_input
+from .errors import checked
 from .features import (
     block_quadratics,
     column_blocks,
@@ -100,12 +100,7 @@ def predict(state, u, start=0):
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("input record must be finite")
-    try:
-        if isinstance(start, bool):  # operator.index(True) is 1
-            raise TypeError
-        start = operator.index(start)
-    except TypeError:
-        raise ValueError(f"start must be an integer, got {start!r}") from None
+    start = checked("start", start, int)
     if not 0 <= start < u.size:
         raise ValueError(f"nothing to predict: start {start} of {u.size} samples")
     record = state.normalization

@@ -29,7 +29,7 @@ from bayesvolterra import (
 )
 from bayesvolterra import cli
 from bayesvolterra.cli import _write_trace, main
-from bayesvolterra.inference import identify
+from bayesvolterra.inference import FitConfig, identify
 
 from _oracles import make_fading_data, reference_write_csv
 
@@ -306,6 +306,16 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_identify_defaults_are_fit_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["identify", "--data", "u_y.csv", "--order", "2", "--memory", "3"])
+    config = FitConfig(order=2)
+    assert (args.rank, args.max_iter, args.tol, args.truncate_tol, args.seed) == (
+        config.rank, config.max_iter, config.elbo_rel_tol,
+        config.truncation_threshold, config.seed)
+    assert (args.delta == "on") is config.lag_sparsity
 
 
 def test_malformed_priors_are_a_usage_error(pipeline):
