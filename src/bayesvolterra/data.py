@@ -244,7 +244,12 @@ def synthesize(system, u, rng=None):
 
 
 def random_cpd_system(order, memory, rank, rng, noise_std=0.0):
-    """Standard normal CPD factors, one (memory+1, rank) draw per order."""
+    """Standard normal CPD factors, one (memory+1, rank) draw per order.
+
+    order, memory and rank are integers of at least 1, by errors.checked.
+    """
+    order, memory, rank = (checked(name, value, int, minimum=1) for name, value in
+                           (("order", order), ("memory", memory), ("rank", rank)))
     factors = [rng.standard_normal((memory + 1, rank)) for _ in range(order)]
     return SyntheticSystem(factors=factors, noise_std=noise_std)
 
@@ -253,8 +258,10 @@ def calibrate_components(system, u, component_std=1.0):
     """Rescale each rank-1 component to a target clean-output std on u.
 
     Keeps component strengths comparable so none is drowned out; returns a
-    new system with the same noise_std.
+    new system with the same noise_std. component_std is a positive number,
+    by errors.checked.
     """
+    component_std = checked("component_std", component_std, minimum=0, strict=True)
     u = np.asarray(u, dtype=float)
     rank = check_factors(system.factors)[2]
     outputs = fill_blocks(lag_blocks(u, system.memory), (rank,), u.size,

@@ -2,8 +2,8 @@
 expectations.
 
 build_lagged_matrix makes the whole I x N window matrix U of a record,
-which the fit needs. lag_blocks yields the same columns SCORE_BLOCK at a
-time, each block built from the slice of the record that carries its
+which the fit needs. lag_blocks yields the same columns SCORE_BLOCK (or a
+given number) at a time, each block built from the slice of the record that carries its
 M - 1 samples of history, and column_blocks slices a matrix already built
 the same way. fill_blocks is the one walk over such blocks: it writes a
 contraction of each block into its columns of the output. Scoring and
@@ -27,6 +27,14 @@ count.
 The kernels make no gathers of full size: each walks its pairs one band
 of _bands at a time, so beyond its output second_moments holds only
 O(R N) and O(R(R+1)/2 I(I+1)/2) scratch.
+
+On a contiguous record the window square has more structure: each packed
+window pair is a delayed copy of one of I base channels, the input x and
+the lag products z_k(m) = x(m) x(m - k). So a product c @ window_pairs(U)
+is a bank of FIR filters over those channels. pair_taps reads the filters'
+taps from packed coefficients, band by band of _bands, and base_channels
+builds the channels of a stretch of the record, as lag_blocks builds its
+windows; the predictive variance convolves the two.
 """
 
 from __future__ import annotations
@@ -69,26 +77,51 @@ def build_lagged_matrix(signal, memory):
     return out
 
 
-def lag_blocks(signal, memory, start=0):
+def lag_blocks(signal, memory, start=0, size=SCORE_BLOCK):
     """Yield (offset, U_block) for the windows of `signal` from `start` on,
-    SCORE_BLOCK windows at a time.
+    `size` windows at a time.
 
     U_block holds the columns start + offset, start + offset + 1, ... of
     build_lagged_matrix(signal, memory), bit for bit: it is built from the
     slice of the signal that ends with its last window and carries the
     M - 1 samples before its first, and is a view of that slice's window
-    matrix. The blocks start at start, start + SCORE_BLOCK, ..., so only
-    one block's windows exist at a time.
+    matrix. The blocks start at start, start + size, ..., so only one
+    block's windows exist at a time.
     """
     u = np.asarray(signal, dtype=float)
     memory = _check_signal(u, memory)
     start = checked("start", start, int)
     if not 0 <= start < u.size:
         raise ValueError(f"start {start} is outside the {u.size} samples")
-    for begin in range(start, u.size, SCORE_BLOCK):
+    for begin in range(start, u.size, size):
         first = max(0, begin - memory + 1)
-        windows = build_lagged_matrix(u[first:begin + SCORE_BLOCK], memory)
+        windows = build_lagged_matrix(u[first:begin + size], memory)
         yield begin - start, windows[:, begin - first:]
+
+
+def base_channels(signal, memory, begin, stop):
+    """The (I, stop - begin + M - 1) base channels of a record at the
+    samples m = begin - M + 1, ..., stop - 1, one column each.
+
+    Row 0 is the input x(m) and row 1 + k is z_k(m) = x(m) x(m - k), for
+    k = 0, ..., M - 1, with the record zero outside its samples, as
+    build_lagged_matrix takes it. Filtered by pair_taps(coefs), they give
+    coefs @ window_pairs(U) at the windows begin, ..., stop - 1.
+    """
+    u = np.asarray(signal, dtype=float)
+    # M - 1 more samples of the past, for the lag products of the first
+    first = begin - 2 * memory + 2
+    padded = np.zeros(stop - first)
+    lo, hi = max(first, 0), min(stop, u.size)
+    if lo < hi:
+        padded[lo - first:hi - first] = u[lo:hi]
+    span = stop - begin + memory - 1
+    x = padded[memory - 1:]
+    out = np.empty((memory + 1, span))
+    out[0] = x
+    for k in range(memory):
+        np.multiply(x, padded[memory - 1 - k:memory - 1 - k + span], out=out[1 + k])
+    return out
 
 
 def column_blocks(U):
@@ -232,6 +265,33 @@ def block_quadratics(cov, rank, window):
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
     out[:, i == j] *= 0.5
     return out
+
+
+def pair_taps(coefs, window):
+    """The FIR filters that coefs @ window_pairs(U) is on a record: the
+    (P,) constants and (P, I, M) taps of the P rows of packed coefficients
+    `coefs` (P, I(I+1)/2).
+
+    Window n of a record is (1, x(n), ..., x(n - M + 1)), so its pair
+    (0, 0) is 1, a pair (0, b) is x(n - (b - 1)), and a pair (a >= 1, b)
+    is z_k(n - (a - 1)) with k = b - a, for the base_channels x and z_k.
+    Row p of the product at window n is then constants[p] plus
+    sum_c sum_t taps[p, c, t] channel_c(n - t): tap t of channel 0 holds
+    the coefficient of the pair (0, t + 1), and tap t of channel 1 + k
+    that of the pair (t + 1, t + 1 + k), read from band t + 1 of _bands.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    if coefs.ndim != 2 or coefs.shape[1] != window * (window + 1) // 2:
+        raise ValueError(f"coefficients have shape {coefs.shape}, a window of "
+                         f"{window} has {window * (window + 1) // 2} pairs")
+    taps = np.zeros((coefs.shape[0], window, window - 1))
+    bands = _bands(window)
+    _, first = next(bands)
+    constants = coefs[:, first.start].copy()
+    taps[:, 0] = coefs[:, first.start + 1:first.stop]
+    for a, rows in bands:
+        taps[:, 1:window - a + 1, a - 1] = coefs[:, rows]
+    return constants, taps
 
 
 def _check_pairs(U, uu):

@@ -14,7 +14,9 @@ from bayesvolterra import (
     NormalizationRecord,
     SyntheticSystem,
     build_lagged_matrix,
+    calibrate_components,
     load_model,
+    random_cpd_system,
     save_model,
     split_count,
 )
@@ -73,6 +75,11 @@ ENTRY_POINTS = {
     "SyntheticSystem": lambda field, value: SyntheticSystem([np.ones((3, 1))],
                                                             noise_std=value),
     "split_count": lambda field, value: split_count(10, value),
+    "random_cpd_system": lambda field, value: random_cpd_system(
+        **{"order": 2, "memory": 2, "rank": 2, field: value},
+        rng=np.random.default_rng(0)),
+    "calibrate_components": lambda field, value: calibrate_components(
+        SyntheticSystem([np.ones((3, 1))]), np.linspace(0.0, 1.0, 8), component_std=value),
 }
 
 # each of these was accepted, or failed with a TypeError that names no field
@@ -93,6 +100,11 @@ BAD_FIELDS = [
     ("split_count", "split", True),
     ("split_count", "split", np.True_),
     ("split_count", "split", "5"),
+    ("random_cpd_system", "order", True),
+    ("random_cpd_system", "memory", 2.5),
+    ("random_cpd_system", "rank", True),
+    ("calibrate_components", "component_std", True),
+    ("calibrate_components", "component_std", "1"),
 ]
 
 

@@ -26,7 +26,13 @@ from bayesvolterra import (
     second_moments,
     window_pairs,
 )
-from bayesvolterra.features import SCORE_BLOCK, column_blocks, hadamard
+from bayesvolterra.features import (
+    SCORE_BLOCK,
+    base_channels,
+    column_blocks,
+    hadamard,
+    pair_taps,
+)
 
 from _oracles import (
     cpd_expand,
@@ -496,3 +502,25 @@ def test_expected_gram_is_exactly_symmetric():
     gram = expected_gram(U, weights, window_pairs(U))
     assert gram.shape == (rank * window, rank * window)
     assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 5])
+def test_pair_taps_filter_the_base_channels_into_the_window_square(memory):
+    # direct convolution, stretch by stretch of a record, including ones
+    # that start inside the first M - 1 samples and end past the record,
+    # whose windows there are not compared
+    rng = np.random.default_rng(memory)
+    window, n = memory + 1, 20
+    coefs = rng.standard_normal((3, window * (window + 1) // 2))
+    x = rng.standard_normal(n)
+    expected = coefs @ window_pairs(build_lagged_matrix(x, memory))
+    constants, taps = pair_taps(coefs, window)
+    assert taps.shape == (3, window, memory)
+    for begin, stop in [(0, n), (1, 7), (3, 11), (n - 1, n), (n - 4, n + 3)]:
+        channels = base_channels(x, memory, begin, stop)
+        assert channels.shape == (window, stop - begin + memory - 1)
+        got = constants[:, None] + np.array([
+            sum(np.convolve(channels[c], taps[p, c])[memory - 1:memory - 1 + stop - begin]
+                for c in range(window))
+            for p in range(3)])
+        assert_allclose(got[:, :n - begin], expected[:, begin:stop], rtol=1e-12, atol=1e-12)

@@ -16,10 +16,12 @@ from bayesvolterra import (
     identify,
     init_state,
     nll,
+    normalize_input,
     predict,
     predictive_arrays,
     rmse,
 )
+from bayesvolterra import prediction
 from bayesvolterra.features import SCORE_BLOCK
 
 from _oracles import (
@@ -374,3 +376,115 @@ def test_evaluate_rejects_non_finite_records():
                          (np.where(np.arange(30) == 3, np.inf, u), y)):
         with pytest.raises(ValueError, match="finite"):
             evaluate(state, bad_u, bad_y)
+
+
+def packed_reference(state, u, start):
+    """predictive_arrays on the columns from `start` of the whole window
+    matrix of the normalized record: the packed form."""
+    x = normalize_input(u, state.normalization)
+    return predictive_arrays(state, build_lagged_matrix(x, state.memory)[:, start:])
+
+
+def record_cases(memory):
+    """(n, start) pairs: a record shorter than one segment, lengths that
+    are and are not a multiple of the hop, and starts at 0, inside the
+    first M - 1 samples, on a segment edge and at the last window."""
+    hop = prediction._fft_length(memory) - memory + 1
+    return [(hop // 2, 0), (hop // 2, hop // 2 - 1), (3 * hop, 0),
+            (3 * hop + 7, max(1, memory // 2)), (3 * hop + 7, hop),
+            (3 * hop + 7, 3 * hop + 6), (2 * hop + memory, 2 * hop - 1)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@pytest.mark.parametrize("memory", [9, 30, 100])
+def test_fft_scores_equal_the_packed_form(order, rank, memory):
+    # locations bit for bit, squared scales within 1e-12, a repeat bit for bit
+    state = scoring_state(30 + memory, order=order, memory=memory, rank=rank)
+    rng = np.random.default_rng(memory + 10 * rank + order)
+    for n, start in record_cases(memory):
+        u = rng.uniform(-1.0, 3.0, n)
+        x = normalize_input(u, state.normalization)
+        locations, scale_sq, _ = packed_reference(state, u, start)
+        got = prediction._fft_scores(state, x, start)
+        assert_array_equal(got[0], locations)
+        assert_allclose(got[1], scale_sq, rtol=1e-12, atol=0)
+        assert_array_equal(prediction._fft_scores(state, x, start), got)
+
+
+def test_fft_scores_across_pair_and_record_chunks(monkeypatch):
+    # several chunks of pairs per factor, several record chunks and a
+    # partial transform batch, against the packed form
+    order, rank, memory = 3, 5, 40
+    state = scoring_state(31, order=order, memory=memory, rank=rank)
+    length = prediction._fft_length(memory)
+    monkeypatch.setattr(prediction, "TAP_BYTES", 4 * 16 * (memory + 1) * (length // 2 + 1))
+    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    monkeypatch.setattr(prediction, "FFT_BLOCK", SCORE_BLOCK)
+    u = np.random.default_rng(31).uniform(-1.0, 3.0, 3 * SCORE_BLOCK + 5)
+    x = normalize_input(u, state.normalization)
+    for start in (0, 3, SCORE_BLOCK + 1):
+        locations, scale_sq, _ = packed_reference(state, u, start)
+        got = prediction._fft_scores(state, x, start)
+        assert_array_equal(got[0], locations)
+        assert_allclose(got[1], scale_sq, rtol=1e-12, atol=0)
+
+
+def test_scoring_path_depends_on_memory_rank_and_windows():
+    # the paper shape takes the FFT form; long_record (M=20) and the CLI
+    # workload (M=10) stay on the packed form at every rank, and so does a
+    # record of fewer than FFT_WINDOWS windows
+    many, few = prediction.FFT_WINDOWS, prediction.FFT_WINDOWS - 1
+    assert prediction._fft_scoring(100, 20, 4096)
+    assert prediction._fft_scoring(100, 20, many)
+    assert not prediction._fft_scoring(100, 20, few)
+    assert not prediction._fft_scoring(100, 2, 1)
+    assert prediction._fft_scoring(40, 20, many)
+    assert prediction._fft_scoring(30, 4, many)
+    assert not prediction._fft_scoring(30, 5, many)
+    for rank in (1, 2, 4, 11, 20):
+        assert not prediction._fft_scoring(25, rank, 200_000)
+        assert not prediction._fft_scoring(20, rank, 200_000)
+        assert not prediction._fft_scoring(10, rank, 200_000)
+
+
+@pytest.mark.parametrize("memory, rank", [(100, 2), (45, 5), (30, 2), (30, 5), (12, 2)])
+def test_predict_on_either_path_matches_the_window_formulas(memory, rank, monkeypatch):
+    # locations bit for bit on both paths, squared scales within 1e-12,
+    # against the whole-window formulas and against the packed form
+    state = scoring_state(32, order=2, memory=memory, rank=rank)
+    rng = np.random.default_rng(32)
+    n = prediction.FFT_WINDOWS + 3 * memory + 11
+    u = rng.uniform(-1.0, 3.0, n)
+    starts = (0, memory // 2, n - 1)
+    scored = [predict(state, u, start=start) for start in starts]
+    for start, (locations, scales, dof) in zip(starts, scored):
+        ref_locations, ref_scales, ref_dof = full_window_predict(state, u, start=start)
+        assert_array_equal(locations, ref_locations)
+        assert_allclose(scales**2, ref_scales**2, rtol=1e-12, atol=0)
+        assert dof == ref_dof
+        again = predict(state, u, start=start)
+        assert_array_equal(again[0], locations)
+        assert_array_equal(again[1], scales)
+    monkeypatch.setattr(prediction, "_fft_scoring", lambda memory, rank, windows: False)
+    for start, (locations, scales, _) in zip(starts, scored):
+        packed_locations, packed_scales, _ = predict(state, u, start=start)
+        assert_array_equal(locations, packed_locations)
+        assert_allclose(scales**2, packed_scales**2, rtol=1e-12, atol=0)
+
+
+def test_fft_predict_holds_the_taps_and_one_record_chunk():
+    # at M=100 the squared scales come by overlap-save: beyond a few
+    # N-vectors, one chunk of transformed taps and O(I FFT_BLOCK) scratch,
+    # so neither the window matrix nor the base channels of the record
+    order, rank, memory, n = 2, 2, 100, 40_000
+    window = memory + 1
+    assert prediction._fft_scoring(memory, rank, n)
+    length = prediction._fft_length(memory)
+    pairs = rank * (rank + 1) // 2
+    taps = 16 * pairs * window * (length // 2 + 1)
+    state = scoring_state(33, order=order, memory=memory, rank=rank)
+    u = np.random.default_rng(33).uniform(-1.0, 3.0, n)
+    bound = taps + 8 * (4 * n + 6 * window * (prediction.FFT_BLOCK + 2 * length))
+    assert 8 * window * n > bound
+    assert traced_peak(lambda: predict(state, u)) <= bound
