@@ -2,8 +2,8 @@
 expectations.
 
 build_lagged_matrix makes the whole I x N window matrix U of a record,
-which the fit needs. lag_blocks yields the same columns SCORE_BLOCK (or a
-given number) at a time, each block built from the slice of the record that carries its
+which the fit needs. lag_blocks yields the same columns SCORE_BLOCK at a
+time, each block built from the slice of the record that carries its
 M - 1 samples of history, and column_blocks slices a matrix already built
 the same way. fill_blocks is the one walk over such blocks: it writes a
 contraction of each block into its columns of the output. Scoring and
@@ -77,25 +77,25 @@ def build_lagged_matrix(signal, memory):
     return out
 
 
-def lag_blocks(signal, memory, start=0, size=SCORE_BLOCK):
+def lag_blocks(signal, memory, start=0):
     """Yield (offset, U_block) for the windows of `signal` from `start` on,
-    `size` windows at a time.
+    SCORE_BLOCK windows at a time.
 
     U_block holds the columns start + offset, start + offset + 1, ... of
     build_lagged_matrix(signal, memory), bit for bit: it is built from the
     slice of the signal that ends with its last window and carries the
     M - 1 samples before its first, and is a view of that slice's window
-    matrix. The blocks start at start, start + size, ..., so only one
-    block's windows exist at a time.
+    matrix. The blocks start at start, start + SCORE_BLOCK, ..., so only
+    one block's windows exist at a time.
     """
     u = np.asarray(signal, dtype=float)
     memory = _check_signal(u, memory)
     start = checked("start", start, int)
     if not 0 <= start < u.size:
         raise ValueError(f"start {start} is outside the {u.size} samples")
-    for begin in range(start, u.size, size):
+    for begin in range(start, u.size, SCORE_BLOCK):
         first = max(0, begin - memory + 1)
-        windows = build_lagged_matrix(u[first:begin + size], memory)
+        windows = build_lagged_matrix(u[first:begin + SCORE_BLOCK], memory)
         yield begin - start, windows[:, begin - first:]
 
 

@@ -22,17 +22,22 @@ On a record of at least FFT_WINDOWS windows, predict at long memory
 (_fft_scoring, a rule on M, R and the number of windows) takes the
 parameter variance by overlap-save FFT instead (_fft_scores): each row of
 c @ window_pairs(U) is a bank of FIR filters over the record's I base
-channels (features.pair_taps and features.base_channels), so one factor's
-chunk of pairs has its taps transformed once per call and each record
-chunk's channels once per chunk of pairs. That costs about
+channels (features.pair_taps and features.base_channels). The D factors'
+pairs are taken in walks whose transformed taps, and whose products at one
+record chunk, each fit TAP_BYTES; each pair's taps are transformed once
+per call, and each walk goes over the record FFT_BLOCK windows at a time.
+A record chunk's projections on the factor means and the spectra of its
+channels are built once per walk and serve every factor in it; when a call
+makes several walks and the whole record's projections and spectra fit
+TAP_BYTES, they are built once and held across the walks. That costs about
 I (length/2 + 1) / hop complex multiply-adds per pair and window where the
 packed form does I(I+1)/2 real ones, plus the fixed cost of the taps
 transform, which a short record does not repay. The locations come from
-the first walk over the record, projected on the packed form's blocks, so
-they are bit for bit the packed form's. It holds one factor's
-coefficients, one chunk of transformed taps (at most TAP_BYTES) and
-O((I + pairs in the chunk) FFT_BLOCK) scratch, so its memory grows with N
-only by the N-vectors.
+each chunk's first projections, taken on the packed form's blocks, so they
+are bit for bit the packed form's. It holds one factor's coefficients, one
+walk's transformed taps (at most TAP_BYTES), the held inputs if any (at
+most TAP_BYTES again) and O((I + pairs in a walk) FFT_BLOCK) scratch, so
+beyond that budget its memory grows with N only by the N-vectors.
 
 evaluate scores predict with the array metrics rmse and nll, the
 Student-t log density in closed form.
@@ -61,11 +66,11 @@ from .features import (
     window_pairs,
 )
 
-# overlap-save scoring: the most bytes of one chunk of pairs' transformed
-# taps, the pairs whose taps are transformed at a time, the windows of one
-# record chunk (whole SCORE_BLOCK blocks, so that the locations are taken
-# on the packed form's blocks), and the fewest windows a record must have
-# to take that form
+# overlap-save scoring: the most bytes of one walk's transformed taps, and
+# of the record inputs held across walks; the pairs or channels transformed
+# at a time; the windows of one record chunk (whole SCORE_BLOCK blocks, so
+# that the locations are taken on the packed form's blocks); and the fewest
+# windows a record must have to take that form
 TAP_BYTES = 12 << 20
 TAP_ROWS = 16
 FFT_BLOCK = 4 * SCORE_BLOCK
@@ -88,9 +93,9 @@ def _fft_length(memory):
 
 
 def _pair_scales(rank):
-    """(r, s, 2 - delta_rs) of the packed column pairs."""
+    """The (R(R+1)/2, 1) factors 2 - delta_rs of the packed column pairs."""
     r, s = moment_pairs(rank)
-    return r, s, np.where(r == s, 1.0, 2.0)[:, None]
+    return np.where(r == s, 1.0, 2.0)[:, None]
 
 
 def _scorer(state):
@@ -105,7 +110,7 @@ def _scorer(state):
     block's window_pairs; the coefficients are built once per contraction
     and scaled by 2 - delta_rs in place.
     """
-    _, _, twice = _pair_scales(state.rank)
+    twice = _pair_scales(state.rank)
     coefs = [block_quadratics(f.cov, state.rank, state.window)
              for f in state.factors]
     for c in coefs:
@@ -126,80 +131,148 @@ def _scorer(state):
     return score
 
 
-def _tap_spectra(coefs, window, length):
-    """pair_taps(coefs, window) as (constants, the (F, P, I) rfft of the
-    taps at `length`), transformed TAP_ROWS pairs at a time, so that the
-    untransformed taps and the transform's output stay small."""
-    constants = np.empty(coefs.shape[0])
-    spectra = np.empty((length // 2 + 1, coefs.shape[0], window), dtype=complex)
-    for first in range(0, coefs.shape[0], TAP_ROWS):
-        rows = slice(first, first + TAP_ROWS)
-        constants[rows], taps = pair_taps(coefs[rows], window)
-        spectra[:, rows] = np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
-    return constants, spectra
+def _walks(state):
+    """The walks of _fft_scores: the D R(R+1)/2 rows (d, p) of the factors'
+    coefficients, factor slow, in runs whose transformed taps fit
+    TAP_BYTES, as do their products, inverses and weights at one record
+    chunk; each run a list of (d, first, stop) for the pairs
+    first <= p < stop of factor d."""
+    length = _fft_length(state.memory)
+    freqs, hop = length // 2 + 1, length - state.memory + 1
+    taps = 16 * state.window * freqs
+    scratch = -(-FFT_BLOCK // hop) * (16 * freqs + 8 * length + 8 * hop)
+    per = max(1, TAP_BYTES // max(taps, scratch))
+    pairs = state.rank * (state.rank + 1) // 2
+    total = state.order * pairs
+    walks = []
+    for first in range(0, total, per):
+        stop = min(first + per, total)
+        walks.append([(d, max(first - d * pairs, 0), min(stop - d * pairs, pairs))
+                      for d in range(first // pairs, (stop - 1) // pairs + 1)])
+    return walks
 
 
-def _filter_bank(x, memory, begin, n, constants, spectra):
-    """The (P, n) rows constants + pair_taps' filters over the
-    base_channels of the record x, at the n windows from `begin`.
-
-    Overlap-save: segments of length = 2(F - 1) channel samples advance by
-    hop = length - M + 1 windows; each segment's channel spectra multiply
-    the (F, P, I) tap spectra, one batched complex product per frequency,
-    and each pair's product is inverted once per segment, keeping its last
-    hop samples.
+def _walk_taps(state, walks, length):
+    """Yield, for each walk, pair_taps of its rows of the coefficients,
+    scaled by 2 - delta_rs, as (constants, the (F, P, I) rfft of the taps
+    at `length`), transformed TAP_ROWS pairs at a time so that the
+    untransformed taps and one transform's output stay small. Walks take
+    the factors in order, so each factor's coefficients are built once per
+    call, and only one factor's are alive at a time.
     """
-    freqs = spectra.shape[0]
-    length = 2 * (freqs - 1)
+    rank, window = state.rank, state.window
+    factor, coefs = None, None
+    for walk in walks:
+        constants = np.empty(sum(stop - first for _, first, stop in walk))
+        spectra = np.empty((length // 2 + 1, constants.size, window), dtype=complex)
+        row = 0
+        for d, first, stop in walk:
+            if d != factor:
+                # the last factor's, freed before this one's are built
+                coefs = None
+                coefs = block_quadratics(state.factors[d].cov, rank, window)
+                coefs *= _pair_scales(rank)
+                factor = d
+            for lo in range(first, stop, TAP_ROWS):
+                hi = min(lo + TAP_ROWS, stop)
+                rows = slice(row, row + hi - lo)
+                constants[rows], taps = pair_taps(coefs[lo:hi], window)
+                spectra[:, rows] = np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
+                row += hi - lo
+        del taps
+        yield constants, spectra
+        # freed before the next walk's taps are made
+        del constants, spectra
+
+
+def _chunk_inputs(state, x, begin, size, length):
+    """What every walk shares at the `size` windows of x from `begin`: their
+    (D, R, size) projections on the factor means, taken on lag_blocks'
+    SCORE_BLOCK blocks as _scorer gets them, and the (F, I, S) rfft of the
+    S overlap-save segments of their base channels."""
+    means, memory = state.factor_means, state.memory
+    projections = fill_blocks(lag_blocks(x[:begin + size], memory, begin),
+                              (len(means), state.rank), size,
+                              lambda block: [m.T @ block for m in means])
     hop = length - memory + 1
-    segments = -(-n // hop)
-    channels = base_channels(x, memory, begin, begin + segments * hop)
-    X = np.fft.rfft(sliding_window_view(channels, length, axis=1)[:, ::hop], axis=-1)
-    products = spectra @ np.ascontiguousarray(X.transpose(2, 0, 1))
-    q = np.fft.irfft(products.transpose(1, 2, 0), n=length, axis=-1)
-    q = q[..., memory - 1:].reshape(constants.size, -1)[:, :n]
-    q += constants[:, None]
-    return q
+    channels = base_channels(x, memory, begin, begin + -(-size // hop) * hop)
+    segments = sliding_window_view(channels, length, axis=1)[:, ::hop]
+    spectra = np.empty((length // 2 + 1,) + segments.shape[:2], dtype=complex)
+    for first in range(0, segments.shape[0], TAP_ROWS):
+        rows = slice(first, first + TAP_ROWS)
+        spectra[:, rows] = np.fft.rfft(segments[rows], axis=-1).transpose(2, 0, 1)
+    return projections, spectra
 
 
 def _fft_scores(state, x, start):
     """The (2, n) model-unit locations and squared scales of the windows of
     x[start:], as the packed scorer gives them, with each row q of
     c @ window_pairs(U) in its sum over pairs of (2 - delta_rs) h_r h_s q_rs
-    taken from a filter bank over the record's base channels (_filter_bank).
+    taken as a filter bank over the record's base channels.
 
-    One factor's coefficients are held at a time, and its pairs are taken
-    in chunks of at most TAP_BYTES of transformed taps. Each chunk has its
-    taps transformed once and walks the record FFT_BLOCK windows at a time,
-    projecting them on the factor means SCORE_BLOCK at a time for the
-    cofactors h; the first walk also takes the locations from those
-    projections, on the blocks _scorer gets, so they are its own.
+    The D factors' pairs are split into walks (_walks, _walk_taps). Each
+    walk goes over the record FFT_BLOCK windows at a time, and a record
+    chunk's projections and channel spectra (_chunk_inputs) serve every pair
+    of the walk: one batched complex product per frequency and one inverse
+    transform per pair give the rows q (overlap-save: segments of `length`
+    channel samples advance by hop = length - M + 1 windows, and each keeps
+    its last hop samples), and one contraction with the weights h_r h_s of
+    the walk's pairs, from the cofactors h_d, sums them, the constants
+    entering as one product with the weights. When a call makes several
+    walks and every chunk's inputs fit TAP_BYTES together, they are built
+    once and held; otherwise each walk rebuilds them. The locations come
+    from each chunk's first projections, on the blocks _scorer gets, so they
+    are its own.
     """
-    memory, window, rank = state.memory, state.window, state.rank
+    memory, rank = state.memory, state.rank
     length = _fft_length(memory)
-    r, s, twice = _pair_scales(rank)
-    per = max(1, TAP_BYTES // (16 * window * (length // 2 + 1)))
-    means = state.factor_means
-    out = np.full((2, x.size - start), float(state.noise.rate / state.noise.shape))
-    for d, f in enumerate(state.factors):
-        coefs = block_quadratics(f.cov, rank, window)
-        coefs *= twice
-        for first in range(0, r.size, per):
-            rows = slice(first, first + per)
-            constants, spectra = _tap_spectra(coefs[rows], window, length)
-            for offset, block in lag_blocks(x, memory, start, FFT_BLOCK):
-                size = block.shape[1]
-                projections = [np.concatenate([m.T @ b for _, b in column_blocks(block)],
-                                              axis=1) for m in means]
-                if d == first == 0:
-                    out[0, offset:offset + size] = hadamard(projections, (rank, size)).sum(axis=0)
-                h = hadamard(projections[:d] + projections[d + 1:], (rank, size))
-                q = _filter_bank(x, memory, start + offset, size, constants, spectra)
-                q *= h[r[rows]]
-                q *= h[s[rows]]
-                out[1, offset:offset + size] += q.sum(axis=0)
-            # freed before the next chunk's taps are made
-            del constants, spectra
+    freqs, hop = length // 2 + 1, length - memory + 1
+    r, s = moment_pairs(rank)
+    n = x.size - start
+    walks = _walks(state)
+    offsets = range(0, n, FFT_BLOCK)
+    # the record's segments; each one's channel spectra are I (length/2 + 1)
+    # complex values
+    spans = sum(-(-min(FFT_BLOCK, n - o) // hop) for o in offsets)
+    inputs = 16 * state.window * freqs * spans + 8 * state.order * rank * n
+    hold = len(walks) > 1 and inputs <= TAP_BYTES
+    out = np.full((2, n), float(state.noise.rate / state.noise.shape))
+    held = {}
+    tap_walks = _walk_taps(state, walks, length)
+    for w, walk in enumerate(walks):
+        # next, not zip: zip's reused result tuple would keep the last walk's
+        # taps alive while the next walk's are made
+        constants, taps = next(tap_walks)
+        for offset in offsets:
+            size = min(FFT_BLOCK, n - offset)
+            if offset in held:
+                projections, channels = held[offset]
+            else:
+                projections, channels = _chunk_inputs(state, x, start + offset, size,
+                                                       length)
+                if hold:
+                    held[offset] = projections, channels
+            if w == 0:
+                products = hadamard(list(projections), (rank, size))
+                out[0, offset:offset + size] = products.sum(axis=0)
+            # the last segment's windows past the chunk weigh nothing
+            segments = channels.shape[-1]
+            weights = np.zeros((constants.size, segments * hop))
+            row = 0
+            for d, first, stop in walk:
+                others = [p for k, p in enumerate(projections) if k != d]
+                h = hadamard(others, (rank, size))
+                np.multiply(h[r[first:stop]], h[s[first:stop]],
+                            out=weights[row:row + stop - first, :size])
+                row += stop - first
+            q = np.fft.irfft((taps @ channels).transpose(1, 2, 0), n=length, axis=-1)
+            total = np.einsum("psk,psk->sk", q[..., memory - 1:],
+                              weights.reshape(-1, segments, hop))
+            chunk = out[1, offset:offset + size]
+            chunk += total.reshape(-1)[:size]
+            chunk += constants @ weights[:, :size]
+        # freed before the next walk's taps are made
+        del constants, taps
     return out
 
 

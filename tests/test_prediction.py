@@ -430,6 +430,88 @@ def test_fft_scores_across_pair_and_record_chunks(monkeypatch):
         assert_allclose(got[1], scale_sq, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("rank, per", [(2, 4), (5, 7)])
+def test_fft_scores_with_walks_across_factors(rank, per, monkeypatch):
+    # walks of `per` pairs: one holds pairs of two factors, another ends
+    # inside a factor; records of 1 to 3 chunks, the shortest held
+    order, memory = 3, 40
+    state = scoring_state(34 + rank, order=order, memory=memory, rank=rank)
+    length = prediction._fft_length(memory)
+    monkeypatch.setattr(prediction, "TAP_BYTES",
+                        per * 16 * (memory + 1) * (length // 2 + 1))
+    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    monkeypatch.setattr(prediction, "FFT_BLOCK", SCORE_BLOCK)
+    walks = prediction._walks(state)
+    assert max(sum(stop - first for _, first, stop in walk) for walk in walks) == per
+    assert any(len({d for d, _, _ in walk}) > 1 for walk in walks)
+    assert any(walk[-1][2] < rank * (rank + 1) // 2 for walk in walks)
+    rng = np.random.default_rng(34 + rank)
+    for windows in (150, SCORE_BLOCK + 188, 2 * SCORE_BLOCK + 276):
+        for start in (0, memory // 2, SCORE_BLOCK):
+            u = rng.uniform(-1.0, 3.0, start + windows)
+            x = normalize_input(u, state.normalization)
+            locations, scale_sq, _ = packed_reference(state, u, start)
+            got = prediction._fft_scores(state, x, start)
+            assert_array_equal(got[0], locations)
+            assert_allclose(got[1], scale_sq, rtol=1e-12, atol=0)
+            assert_array_equal(prediction._fft_scores(state, x, start), got)
+
+
+@pytest.mark.parametrize("rank, windows, calls", [
+    # one walk of 9 pairs over 3 record chunks
+    (2, 2 * 2048 + 100, 3),
+    # 198 pairs make 4 walks of at most 60 at M=100; 2 chunks, held
+    (11, 4096, 2),
+    # 5 chunks of inputs exceed TAP_BYTES: each of the 4 walks rebuilds them
+    (11, 5 * 2048, 20),
+])
+def test_fft_scores_build_each_record_chunk_once_per_walk(rank, windows, calls,
+                                                          monkeypatch):
+    # the base channels of a record chunk are built once per call when its
+    # walks can hold them, and once per walk when they cannot
+    order, memory = 3, 100
+    state = scoring_state(35, order=order, memory=memory, rank=rank)
+    x = normalize_input(np.random.default_rng(35).uniform(-1.0, 3.0, windows),
+                        state.normalization)
+    counted = []
+    channels = prediction.base_channels
+
+    def counting(*args):
+        counted.append(args[2:])
+        return channels(*args)
+
+    monkeypatch.setattr(prediction, "base_channels", counting)
+    prediction._fft_scores(state, x, 0)
+    assert len(counted) == calls
+
+
+def test_fft_predict_holds_one_walk_of_taps_and_the_record_inputs():
+    # several walks over a short record: beyond a few N-vectors, one walk's
+    # transformed taps, one factor's coefficients, the held projections and
+    # channel spectra, and O((I + pairs in a walk) FFT_BLOCK) scratch; less
+    # than holding the taps of every walk
+    order, rank, memory, n = 3, 11, 100, 4096
+    window = memory + 1
+    assert prediction._fft_scoring(memory, rank, n)
+    length = prediction._fft_length(memory)
+    freqs, hop = length // 2 + 1, length - memory + 1
+    pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
+    state = scoring_state(36, order=order, memory=memory, rank=rank)
+    walks = prediction._walks(state)
+    assert len(walks) > 1
+    per = max(sum(stop - first for _, first, stop in walk) for walk in walks)
+    chunk_segments = -(-prediction.FFT_BLOCK // hop)
+    held = (16 * window * freqs * chunk_segments * -(-n // prediction.FFT_BLOCK)
+            + 8 * order * rank * n)
+    assert held <= prediction.TAP_BYTES
+    taps = 16 * per * window * freqs
+    u = np.random.default_rng(36).uniform(-1.0, 3.0, n)
+    bound = (taps + held + 8 * pairs * squares
+             + 8 * (4 * n + 4 * (window + per) * (prediction.FFT_BLOCK + 2 * length)))
+    assert bound < len(walks) * taps
+    assert traced_peak(lambda: predict(state, u)) <= bound
+
+
 def test_scoring_path_depends_on_memory_rank_and_windows():
     # the paper shape takes the FFT form; long_record (M=20) and the CLI
     # workload (M=10) stay on the packed form at every rank, and so does a
