@@ -225,6 +225,7 @@ def _cmd_identify(args):
             "final_rank": state.rank,
             "elbo": trace.final_elbo,
             "runtime_s": runtime,
+            "stop_reason": trace.stop_reason,
         })
         # only the best-ELBO fit outlives its iteration; a tie keeps the first
         if best is None or runs[-1]["elbo"] > best[2]["elbo"]:
@@ -238,15 +239,16 @@ def _cmd_identify(args):
 
     if len(runs) == 1:
         metrics = {key: runs[0][key] for key in
-                   ("rmse", "nll", "final_rank", "elbo", "runtime_s", "seed")}
+                   ("rmse", "nll", "final_rank", "elbo", "runtime_s", "seed",
+                    "stop_reason")}
     else:
         metrics = {}
         for key in ("rmse", "nll", "elbo", "runtime_s"):
             values = np.array([run[key] for run in runs])
             metrics[key] = {"mean": float(values.mean()),
                             "std": float(values.std(ddof=1))}
-        metrics["final_rank"] = [run["final_rank"] for run in runs]
-        metrics["seed"] = [run["seed"] for run in runs]
+        for key in ("final_rank", "seed", "stop_reason"):
+            metrics[key] = [run[key] for run in runs]
     _write_metrics(metrics, args.metrics_out)
     return 0
 
@@ -275,6 +277,7 @@ def _cmd_evaluate(args):
         "elbo": info.get("elbo"),
         "runtime_s": info.get("runtime_s", wall),
         "seed": info.get("seed"),
+        "stop_reason": info.get("stop_reason"),
     }
     _write_metrics(metrics, args.out)
     return 0

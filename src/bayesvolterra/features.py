@@ -31,10 +31,13 @@ O(R N) and O(R(R+1)/2 I(I+1)/2) scratch.
 On a contiguous record the window square has more structure: each packed
 window pair is a delayed copy of one of I base channels, the input x and
 the lag products z_k(m) = x(m) x(m - k). So a product c @ window_pairs(U)
-is a bank of FIR filters over those channels. pair_taps reads the filters'
-taps from packed coefficients, band by band of _bands, and base_channels
-builds the channels of a stretch of the record, as lag_blocks builds its
-windows; the predictive variance convolves the two.
+is a bank of FIR filters over those channels, whose taps are entries of
+c: window n is (1, x(n), ..., x(n - M + 1)), so its pair (0, b) is
+x(n - (b - 1)) and a pair (a >= 1, b) is z_{b-a}(n - (a - 1)).
+base_channels builds the channels of a stretch of the record, as
+lag_blocks builds its windows; the predictive variance reads the taps of
+block_quadratics(Sigma) straight from the covariance and convolves the
+two.
 """
 
 from __future__ import annotations
@@ -105,8 +108,11 @@ def base_channels(signal, memory, begin, stop):
 
     Row 0 is the input x(m) and row 1 + k is z_k(m) = x(m) x(m - k), for
     k = 0, ..., M - 1, with the record zero outside its samples, as
-    build_lagged_matrix takes it. Filtered by pair_taps(coefs), they give
-    coefs @ window_pairs(U) at the windows begin, ..., stop - 1.
+    build_lagged_matrix takes it. Filtered by the taps of packed
+    coefficients c, tap t of channel 0 the coefficient of the pair
+    (0, t + 1) and tap t of channel 1 + k that of (t + 1, t + 1 + k), plus
+    the coefficient of (0, 0), they give c @ window_pairs(U) at the windows
+    begin, ..., stop - 1.
     """
     u = np.asarray(signal, dtype=float)
     # M - 1 more samples of the past, for the lag products of the first
@@ -265,33 +271,6 @@ def block_quadratics(cov, rank, window):
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
     out[:, i == j] *= 0.5
     return out
-
-
-def pair_taps(coefs, window):
-    """The FIR filters that coefs @ window_pairs(U) is on a record: the
-    (P,) constants and (P, I, M) taps of the P rows of packed coefficients
-    `coefs` (P, I(I+1)/2).
-
-    Window n of a record is (1, x(n), ..., x(n - M + 1)), so its pair
-    (0, 0) is 1, a pair (0, b) is x(n - (b - 1)), and a pair (a >= 1, b)
-    is z_k(n - (a - 1)) with k = b - a, for the base_channels x and z_k.
-    Row p of the product at window n is then constants[p] plus
-    sum_c sum_t taps[p, c, t] channel_c(n - t): tap t of channel 0 holds
-    the coefficient of the pair (0, t + 1), and tap t of channel 1 + k
-    that of the pair (t + 1, t + 1 + k), read from band t + 1 of _bands.
-    """
-    coefs = np.asarray(coefs, dtype=float)
-    if coefs.ndim != 2 or coefs.shape[1] != window * (window + 1) // 2:
-        raise ValueError(f"coefficients have shape {coefs.shape}, a window of "
-                         f"{window} has {window * (window + 1) // 2} pairs")
-    taps = np.zeros((coefs.shape[0], window, window - 1))
-    bands = _bands(window)
-    _, first = next(bands)
-    constants = coefs[:, first.start].copy()
-    taps[:, 0] = coefs[:, first.start + 1:first.stop]
-    for a, rows in bands:
-        taps[:, 1:window - a + 1, a - 1] = coefs[:, rows]
-    return constants, taps
 
 
 def _check_pairs(U, uu):

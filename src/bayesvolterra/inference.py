@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -84,13 +84,16 @@ class FitConfig:
 
 @dataclass
 class FitTrace:
-    """Per-sweep history: bound, rank, E[noise precision], elapsed wall time."""
+    """Per-sweep history: bound, rank, E[noise precision], elapsed wall time;
+    and why the loop stopped: "tolerance" when the bound's change at fixed
+    rank fell below elbo_rel_tol, "max_iter" when the sweeps ran out."""
 
     iterations: list = field(default_factory=list)
     elbo: list = field(default_factory=list)
     rank: list = field(default_factory=list)
     noise_mean: list = field(default_factory=list)
     wall_s: list = field(default_factory=list)
+    stop_reason: str = ""
 
     def append(self, iteration, elbo, rank, noise_mean, wall_s):
         self.iterations.append(int(iteration))
@@ -371,11 +374,35 @@ def truncate_rank(state, threshold):
     return keep
 
 
-def identify(U, y, config, priors=None, normalization=None):
+def _start_state(start, config, window):
+    """A fit's own copy of the state `start`, checked against the config and
+    the window: the factor and Gamma posteriors the fit replaces are new
+    objects, so `start` is left as it was; their arrays are shared, and the
+    fit writes none of them."""
+    if start.order != config.order:
+        raise ValueError(f"start state has order {start.order}, the config "
+                         f"{config.order}")
+    if start.window != window:
+        raise ValueError(f"start state has window {start.window}, U has {window} rows")
+    if start.row_prec_fixed == config.lag_sparsity:
+        raise ValueError(f"start state has row_prec_fixed={start.row_prec_fixed}, "
+                         f"the config lag_sparsity={config.lag_sparsity}")
+    for d, f in enumerate(start.factors):
+        if f.cov is None:
+            raise ValueError(f"start state factor {d} has no covariance")
+    return replace(start, factors=[replace(f) for f in start.factors])
+
+
+def identify(U, y, config, priors=None, normalization=None, start=None):
     """Run the full coordinate-ascent identification loop.
 
     U is the I x N lagged window matrix and y the length-N output in model
-    units. Each sweep updates every factor, then the lag precisions
+    units. The fit begins from init_state at the config's order, rank and
+    seed, or, when `start` is a ModelState, from that state: it must have
+    the config's order, U's window, covariances and row_prec_fixed equal to
+    not lag_sparsity, and it brings its own rank, priors and normalization,
+    so `priors` and `normalization` must then be None. `start` itself is
+    not changed. Each sweep updates every factor, then the lag precisions
     (unless disabled), the column precisions, and the noise precision and
     the bound from one expected residual, records the bound, and finally
     truncates the rank, slicing the moment stacks one at a time. A mode's
@@ -383,9 +410,10 @@ def identify(U, y, config, priors=None, normalization=None):
     neither. The residual's product of all D stacks is the last mode's
     cross weights times its new stack, formed in place. The loop stops
     when the relative bound change at fixed rank drops below elbo_rel_tol
-    or max_iter is reached. Only when the last sweep truncated is the
-    noise posterior refreshed on the kept columns; otherwise the last
-    sweep's noise update already saw the final factors.
+    or max_iter is reached, and the trace records which. Only when the
+    last sweep truncated is the noise posterior refreshed on the kept
+    columns; otherwise the last sweep's noise update already saw the final
+    factors.
 
     Returns (ModelState, FitTrace). Numeric failures carry the sweep index.
     """
@@ -397,15 +425,20 @@ def identify(U, y, config, priors=None, normalization=None):
         raise ValueError(f"y has shape {y.shape}, expected ({U.shape[1]},)")
     if not np.isfinite(U).all() or not np.isfinite(y).all():
         raise ValueError("inputs must be finite")
-    state = init_state(
-        config.order,
-        U.shape[0] - 1,
-        config.rank,
-        priors=priors,
-        seed=config.seed,
-        normalization=normalization,
-        row_prec_fixed=not config.lag_sparsity,
-    )
+    if start is None:
+        state = init_state(
+            config.order,
+            U.shape[0] - 1,
+            config.rank,
+            priors=priors,
+            seed=config.seed,
+            normalization=normalization,
+            row_prec_fixed=not config.lag_sparsity,
+        )
+    elif priors is not None or normalization is not None:
+        raise ValueError("a start state brings its own priors and normalization")
+    else:
+        state = _start_state(start, config, U.shape[0])
     uu = window_pairs(U)
     # the first update overwrites factor 0's stack before anything reads it
     moments = [None] + [second_moments(U, f.mean, f.cov, uu)
@@ -455,8 +488,11 @@ def identify(U, y, config, priors=None, normalization=None):
         if previous is not None and abs(bound - previous) < (
             config.elbo_rel_tol * (1.0 + abs(previous))
         ):
+            trace.stop_reason = "tolerance"
             break
         previous = bound
+    else:
+        trace.stop_reason = "max_iter"
     if keep is not None:
         # the last sweep dropped columns after its noise update
         resid = expected_residual(U, y, state.factor_means,

@@ -22,22 +22,26 @@ On a record of at least FFT_WINDOWS windows, predict at long memory
 (_fft_scoring, a rule on M, R and the number of windows) takes the
 parameter variance by overlap-save FFT instead (_fft_scores): each row of
 c @ window_pairs(U) is a bank of FIR filters over the record's I base
-channels (features.pair_taps and features.base_channels). The D factors'
-pairs are taken in walks whose transformed taps, and whose products at one
-record chunk, each fit TAP_BYTES; each pair's taps are transformed once
-per call, and each walk goes over the record FFT_BLOCK windows at a time.
-A record chunk's projections on the factor means and the spectra of its
-channels are built once per walk and serve every factor in it; when a call
-makes several walks and the whole record's projections and spectra fit
-TAP_BYTES, they are built once and held across the walks. That costs about
+channels (features.base_channels), whose taps are entries of the
+coefficients c. _cov_taps reads them straight from the covariance blocks,
+so no coefficient array is built. The D factors' pairs are taken in walks
+whose transformed taps, and whose products at one record chunk, each fit
+TAP_BYTES; each pair's taps are transformed once per call, and each walk
+goes over the record FFT_BLOCK windows at a time. A record chunk's
+projections on the factor means and the spectra of its channels are built
+once per walk and serve every factor in it; when a call makes several
+walks and the whole record's projections and spectra fit TAP_BYTES, they
+are built once and held across the walks. That costs about
 I (length/2 + 1) / hop complex multiply-adds per pair and window where the
 packed form does I(I+1)/2 real ones, plus the fixed cost of the taps
 transform, which a short record does not repay. The locations come from
 each chunk's first projections, taken on the packed form's blocks, so they
-are bit for bit the packed form's. It holds one factor's coefficients, one
-walk's transformed taps (at most TAP_BYTES), the held inputs if any (at
-most TAP_BYTES again) and O((I + pairs in a walk) FFT_BLOCK) scratch, so
-beyond that budget its memory grows with N only by the N-vectors.
+are bit for bit the packed form's. One scratch set per call, for one
+walk's transformed taps (at most TAP_BYTES) and its products, weights and
+sums at one record chunk, serves every walk and chunk; beyond it the form
+holds the held inputs if any (at most TAP_BYTES again), one batch of
+TAP_ROWS pairs' taps and O((I + pairs in a walk) FFT_BLOCK) more, so past
+that budget its memory grows with N only by the N-vectors.
 
 evaluate scores predict with the array metrics rmse and nll, the
 Student-t log density in closed form.
@@ -55,6 +59,7 @@ from .data import normalize_input
 from .errors import checked
 from .features import (
     SCORE_BLOCK,
+    _bands,
     base_channels,
     block_quadratics,
     column_blocks,
@@ -62,7 +67,6 @@ from .features import (
     hadamard,
     lag_blocks,
     moment_pairs,
-    pair_taps,
     window_pairs,
 )
 
@@ -152,37 +156,104 @@ def _walks(state):
     return walks
 
 
-def _walk_taps(state, walks, length):
-    """Yield, for each walk, pair_taps of its rows of the coefficients,
-    scaled by 2 - delta_rs, as (constants, the (F, P, I) rfft of the taps
-    at `length`), transformed TAP_ROWS pairs at a time so that the
-    untransformed taps and one transform's output stay small. Walks take
-    the factors in order, so each factor's coefficients are built once per
-    call, and only one factor's are alive at a time.
+def _band_runs(rank, first, stop):
+    """Yield (row, r, lo, hi) for the packed column pairs first <= p < stop
+    of a rank-R stack, band by band of _bands: the pairs (r, s) for
+    lo <= s < hi, which are the rows row, row + 1, ... of the range."""
+    for r, rows in _bands(rank):
+        begin, end = max(rows.start, first), min(rows.stop, stop)
+        if begin < end:
+            yield begin - first, r, r + begin - rows.start, r + end - rows.start
+
+
+def _skew(cov, first, shape, steps):
+    """A view of the C-order matrix `cov` from its flat element `first` on,
+    with the given shape and steps in elements. numpy refuses, with
+    ValueError, a view that would reach past the covariance's buffer."""
+    return np.ndarray(shape, cov.dtype, cov, first * cov.itemsize,
+                      tuple(cov.itemsize * step for step in steps))
+
+
+def _cov_taps(cov, rank, first, stop, constants, rows, taps):
+    """Write the constants and taps of the packed column pairs
+    first <= p < stop of the covariance `cov`, scaled by 2 - delta_rs, into
+    `constants` (P,) and `taps` (P, I, M), through the t-major scratch
+    `rows` (P, M, I): with `taps` zero beforehand, they are pair_taps of
+    the rows of block_quadratics(cov) times 2 - delta_rs, bit for bit.
+
+    Tap t of channel 0 is C_rs[0, t + 1] + C_sr[0, t + 1], tap t of
+    channel 1 + k is C_rs[1 + t, 1 + t + k] + C_sr[1 + t, 1 + t + k],
+    halved at k = 0, and the constant is C_rs[0, 0]. These are the sums
+    block_quadratics makes, C_rs[i, j] + C_rs[j, i], since the covariance
+    is exactly symmetric: C_rs[j, i] = C_sr[i, j]. Each band run of pairs
+    (r, s) is read as strided views of the blocks (_skew), each tap row t
+    contiguous along k into rows[:, t], and the taps are one transposed
+    copy of `rows`. A row t < M - 1 is read for every k, so `rows` holds
+    other covariance entries past the pair's last tap, t + k >= M; the
+    copy leaves those taps as they were. The row t = M - 1 holds only
+    k = 0 and is read on its own, so no view reaches past the last block,
+    and the rest of it is never written: `rows` must start finite.
     """
-    rank, window = state.rank, state.window
-    factor, coefs = None, None
+    size = cov.shape[0]
+    window = size // rank
+    memory = window - 1
+    blocks = cov.reshape(rank, window, rank, window)
+    for row, r, lo, hi in _band_runs(rank, first, stop):
+        pairs = slice(row, row + hi - lo)
+        constants[pairs] = blocks[r, 0, lo:hi, 0]
+        np.add(blocks[r, 0, lo:hi, 1:], blocks[lo:hi, 0, r, 1:], out=rows[pairs, :, 0])
+        if memory > 1:
+            shape = (hi - lo, memory - 1, memory)
+            np.add(_skew(cov, (r * window + 1) * size + lo * window + 1, shape,
+                         (window, size + 1, 1)),
+                   _skew(cov, (lo * window + 1) * size + r * window + 1, shape,
+                         (window * size, size + 1, 1)),
+                   out=rows[pairs, :-1, 1:])
+        np.add(blocks[r, memory, lo:hi, memory], blocks[lo:hi, memory, r, memory],
+               out=rows[pairs, -1, 1])
+        # the pairs s > r of the run
+        off = slice(row + (lo == r), row + hi - lo)
+        constants[off] *= 2.0
+        rows[off] *= 2.0
+    rows[:, :, 1] *= 0.5
+    np.copyto(taps, rows.transpose(0, 2, 1),
+              where=np.add.outer(np.arange(window), np.arange(memory)) <= memory)
+
+
+def _walk_taps(state, walks, length, scratch):
+    """Yield, for each walk, its pairs' constants and the (F, P, I) rfft at
+    `length` of their taps, read straight from the covariances by
+    _cov_taps. The taps are made TAP_ROWS pairs at a time, into a buffer
+    already zero-padded to `length`, and transformed four pairs at a time,
+    so the untransformed taps and one transform's output stay small. Every
+    walk's transforms are written into the flat complex `scratch`, which
+    the caller reads before it takes the next walk.
+    """
+    window, memory = state.window, state.memory
+    freqs = length // 2 + 1
+    batch = min(TAP_ROWS, max(stop - first for walk in walks for _, first, stop in walk))
+    rows = np.zeros((batch, memory, window))
+    # the taps past each pair's last, and the padding, stay zero
+    padded = np.zeros((batch, window, length))
     for walk in walks:
         constants = np.empty(sum(stop - first for _, first, stop in walk))
-        spectra = np.empty((length // 2 + 1, constants.size, window), dtype=complex)
+        spectra = scratch[:freqs * constants.size * window].reshape(
+            freqs, constants.size, window)
         row = 0
         for d, first, stop in walk:
-            if d != factor:
-                # the last factor's, freed before this one's are built
-                coefs = None
-                coefs = block_quadratics(state.factors[d].cov, rank, window)
-                coefs *= _pair_scales(rank)
-                factor = d
+            cov = np.ascontiguousarray(state.factors[d].cov, dtype=float)
             for lo in range(first, stop, TAP_ROWS):
-                hi = min(lo + TAP_ROWS, stop)
-                rows = slice(row, row + hi - lo)
-                constants[rows], taps = pair_taps(coefs[lo:hi], window)
-                spectra[:, rows] = np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
-                row += hi - lo
-        del taps
+                count = min(TAP_ROWS, stop - lo)
+                _cov_taps(cov, state.rank, lo, lo + count, constants[row:row + count],
+                          rows[:count], padded[:count, :, :memory])
+                # four pairs at a time, so that a transform's output is
+                # still in cache when it is copied into the walk's layout
+                for j in range(0, count, 4):
+                    k = min(j + 4, count)
+                    spectra[:, row + j:row + k] = np.fft.rfft(
+                        padded[j:k], axis=-1).transpose(2, 0, 1)
+                row += count
         yield constants, spectra
-        # freed before the next walk's taps are made
-        del constants, spectra
 
 
 def _chunk_inputs(state, x, begin, size, length):
@@ -217,17 +288,22 @@ def _fft_scores(state, x, start):
     transform per pair give the rows q (overlap-save: segments of `length`
     channel samples advance by hop = length - M + 1 windows, and each keeps
     its last hop samples), and one contraction with the weights h_r h_s of
-    the walk's pairs, from the cofactors h_d, sums them, the constants
-    entering as one product with the weights. When a call makes several
-    walks and every chunk's inputs fit TAP_BYTES together, they are built
-    once and held; otherwise each walk rebuilds them. The locations come
-    from each chunk's first projections, on the blocks _scorer gets, so they
-    are its own.
+    the walk's pairs, from the cofactors h_d band by band (_band_runs),
+    sums them, the constants entering as one product with the weights.
+    When a call makes several walks and every chunk's inputs fit TAP_BYTES
+    together, they are built once and held; otherwise each walk rebuilds
+    them. The locations come from each chunk's first projections, on the
+    blocks _scorer gets, so they are its own.
+
+    One scratch set, made once per call for the most pairs of a walk and
+    the most segments of a chunk, serves every walk and chunk: the walk's
+    transformed taps, the per-frequency products (matmul out=), the pair
+    weights, of which only the tail past the chunk is zeroed, and the sums
+    (einsum out=).
     """
     memory, rank = state.memory, state.rank
     length = _fft_length(memory)
     freqs, hop = length // 2 + 1, length - memory + 1
-    r, s = moment_pairs(rank)
     n = x.size - start
     walks = _walks(state)
     offsets = range(0, n, FFT_BLOCK)
@@ -236,13 +312,19 @@ def _fft_scores(state, x, start):
     spans = sum(-(-min(FFT_BLOCK, n - o) // hop) for o in offsets)
     inputs = 16 * state.window * freqs * spans + 8 * state.order * rank * n
     hold = len(walks) > 1 and inputs <= TAP_BYTES
+    # one scratch set for the call, sized for the most pairs of a walk and
+    # the most segments of a record chunk
+    most = max(sum(stop - first for _, first, stop in walk) for walk in walks)
+    widest = -(-min(FFT_BLOCK, n) // hop)
+    spectra = np.empty(freqs * most * state.window, dtype=complex)
+    products = np.empty(freqs * most * widest, dtype=complex)
+    weights = np.empty(most * widest * hop)
+    totals = np.empty(widest * hop)
     out = np.full((2, n), float(state.noise.rate / state.noise.shape))
     held = {}
-    tap_walks = _walk_taps(state, walks, length)
-    for w, walk in enumerate(walks):
-        # next, not zip: zip's reused result tuple would keep the last walk's
-        # taps alive while the next walk's are made
-        constants, taps = next(tap_walks)
+    for w, (walk, (constants, taps)) in enumerate(
+            zip(walks, _walk_taps(state, walks, length, spectra))):
+        pairs = constants.size
         for offset in offsets:
             size = min(FFT_BLOCK, n - offset)
             if offset in held:
@@ -253,26 +335,29 @@ def _fft_scores(state, x, start):
                 if hold:
                     held[offset] = projections, channels
             if w == 0:
-                products = hadamard(list(projections), (rank, size))
-                out[0, offset:offset + size] = products.sum(axis=0)
-            # the last segment's windows past the chunk weigh nothing
+                out[0, offset:offset + size] = hadamard(list(projections),
+                                                        (rank, size)).sum(axis=0)
             segments = channels.shape[-1]
-            weights = np.zeros((constants.size, segments * hop))
+            pair_weights = weights[:pairs * segments * hop].reshape(pairs, -1)
+            # the last segment's windows past the chunk weigh nothing
+            pair_weights[:, size:] = 0.0
             row = 0
             for d, first, stop in walk:
                 others = [p for k, p in enumerate(projections) if k != d]
                 h = hadamard(others, (rank, size))
-                np.multiply(h[r[first:stop]], h[s[first:stop]],
-                            out=weights[row:row + stop - first, :size])
+                for at, band, lo, hi in _band_runs(rank, first, stop):
+                    np.multiply(h[band], h[lo:hi],
+                                out=pair_weights[row + at:row + at + hi - lo, :size])
                 row += stop - first
-            q = np.fft.irfft((taps @ channels).transpose(1, 2, 0), n=length, axis=-1)
-            total = np.einsum("psk,psk->sk", q[..., memory - 1:],
-                              weights.reshape(-1, segments, hop))
+            product = products[:freqs * pairs * segments].reshape(freqs, pairs, segments)
+            np.matmul(taps, channels, out=product)
+            q = np.fft.irfft(product.transpose(1, 2, 0), n=length, axis=-1)
+            total = totals[:segments * hop].reshape(segments, hop)
+            np.einsum("psk,psk->sk", q[..., memory - 1:],
+                      pair_weights.reshape(pairs, segments, hop), out=total)
             chunk = out[1, offset:offset + size]
             chunk += total.reshape(-1)[:size]
-            chunk += constants @ weights[:, :size]
-        # freed before the next walk's taps are made
-        del constants, taps
+            chunk += constants @ pair_weights[:, :size]
     return out
 
 

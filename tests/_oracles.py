@@ -9,8 +9,11 @@ through the csv module, and the synthetic systems and random model states
 are assembled through the public API with fixed seeds. The full_window_*
 references build the whole I x N window matrix of a record, as the
 package did before it turned records into windows one block at a time.
-Tests compare the package against these references. traced_peak measures
-the memory a call allocates, for the guards on the kernels' scratch.
+pair_taps reads the FIR filters of packed coefficients one window pair
+at a time, the reference for the taps the predictive variance reads
+straight from a covariance. Tests compare the package against these
+references. traced_peak measures the memory a call allocates, for the
+guards on the kernels' scratch.
 """
 
 import csv
@@ -388,3 +391,30 @@ def full_window_predict(state, u, start=0):
                 (h[r] * h[s]) * (coef @ uu)).sum(axis=0)
     return (record.output_mean + record.output_std * locations,
             record.output_std * np.sqrt(scale_sq), 2.0 * float(state.noise.shape))
+
+
+def pair_taps(coefs, window):
+    """The FIR filters that coefs @ window_pairs(U) is on a record: the
+    (P,) constants and (P, I, M) taps of the P rows of packed coefficients
+    `coefs` (P, I(I+1)/2).
+
+    Window n of a record is (1, x(n), ..., x(n - M + 1)), so its pair
+    (0, 0) is 1, a pair (0, b) is x(n - (b - 1)), and a pair (a >= 1, b)
+    is z_k(n - (a - 1)) with k = b - a, for the base_channels x and z_k.
+    Row p of the product at window n is then constants[p] plus
+    sum_c sum_t taps[p, c, t] channel_c(n - t): tap t of channel 0 holds
+    the coefficient of the pair (0, t + 1), and tap t of channel 1 + k
+    that of the pair (t + 1, t + 1 + k). Read one pair at a time.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    assert coefs.shape[1] == window * (window + 1) // 2
+    constants = np.zeros(coefs.shape[0])
+    taps = np.zeros((coefs.shape[0], window, window - 1))
+    for q, (a, b) in enumerate(zip(*np.triu_indices(window))):
+        if a == 0 and b == 0:
+            constants[:] = coefs[:, q]
+        elif a == 0:
+            taps[:, 0, b - 1] = coefs[:, q]
+        else:
+            taps[:, 1 + b - a, a - 1] = coefs[:, q]
+    return constants, taps

@@ -33,7 +33,7 @@ from bayesvolterra.inference import FitConfig, identify
 
 from _oracles import make_fading_data, reference_write_csv
 
-METRIC_KEYS = {"rmse", "nll", "final_rank", "elbo", "runtime_s", "seed"}
+METRIC_KEYS = {"rmse", "nll", "final_rank", "elbo", "runtime_s", "seed", "stop_reason"}
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,23 @@ def test_evaluate_reproduces_identify_metrics(pipeline):
     assert metrics["nll"] == pytest.approx(pipeline.metrics["nll"], rel=1e-12)
     assert metrics["final_rank"] == 2
     assert metrics["elbo"] == pytest.approx(pipeline.metrics["elbo"], rel=1e-12)
+
+
+def test_identify_reports_why_the_fit_stopped(pipeline, tmp_path):
+    # in the metrics, the saved model's info and evaluate's report
+    for max_iter, tol, reason in (("2", "1e-300", "max_iter"), ("500", "1e-2", "tolerance")):
+        model = tmp_path / reason
+        metrics = tmp_path / f"{reason}.json"
+        assert main(["identify", "--data", str(pipeline.data), "--order", "2",
+                     "--memory", "3", "--rank", "2", "--max-iter", max_iter,
+                     "--tol", tol, "--split", "800", "--out", str(model),
+                     "--metrics-out", str(metrics)]) == 0
+        assert json.loads(metrics.read_text())["stop_reason"] == reason
+        assert load_manifest(model)["info"]["stop_reason"] == reason
+        out = tmp_path / f"{reason}-eval.json"
+        assert main(["evaluate", "--model", str(model), "--data", str(pipeline.data),
+                     "--split", "800", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stop_reason"] == reason
 
 
 def test_predict_writes_student_t_columns(pipeline):
@@ -230,6 +247,7 @@ def test_seed_sweep_aggregates_metrics(pipeline, tmp_path):
         assert np.isfinite(sweep[key]["mean"])
     assert sweep["seed"] == [3, 4, 5]
     assert len(sweep["final_rank"]) == 3
+    assert sweep["stop_reason"] == ["max_iter"] * 3
 
 
 def test_seed_sweep_saves_the_best_run(pipeline, tmp_path):

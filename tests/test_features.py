@@ -31,7 +31,6 @@ from bayesvolterra.features import (
     base_channels,
     column_blocks,
     hadamard,
-    pair_taps,
 )
 
 from _oracles import (
@@ -39,6 +38,7 @@ from _oracles import (
     full_expected_gram,
     full_second_moments,
     monomial_vector,
+    pair_taps,
     traced_peak,
     unpack,
 )

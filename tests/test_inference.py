@@ -18,6 +18,7 @@ from bayesvolterra import (
     FitConfig,
     GammaPosterior,
     ModelState,
+    NormalizationRecord,
     NumericFailure,
     PriorConfig,
     build_lagged_matrix,
@@ -691,7 +692,7 @@ def test_identify_matches_stepwise_updates(order, threshold, rank_path):
     config = FitConfig(order=order, rank=4, max_iter=len(rank_path),
                        elbo_rel_tol=1e-300, truncation_threshold=threshold,
                        seed=0)
-    fitted, trace = identify(U, y, config)
+    fitted, trace = identify(U, y, config, start=init_state(order, 4, 4, seed=0))
 
     state = init_state(order, 4, 4, seed=0)
     uu = window_pairs(U)
@@ -757,7 +758,7 @@ def test_identify_refreshes_the_noise_after_a_last_sweep_truncation():
     U = build_lagged_matrix(u, 4)
     config = FitConfig(order=2, rank=4, max_iter=3, elbo_rel_tol=1e-300,
                        truncation_threshold=0.5, seed=0)
-    state, trace = identify(U, y, config)
+    state, trace = identify(U, y, config, start=init_state(2, 4, 4, seed=0))
     assert state.rank < trace.rank[-1]
     moments = [second_moments(U, f.mean, f.cov, window_pairs(U))
                for f in state.factors]
@@ -768,6 +769,75 @@ def test_identify_refreshes_the_noise_after_a_last_sweep_truncation():
     expected = update_noise_precision(state, y.size, resid)
     assert fitted.shape == expected.shape
     assert_allclose(fitted.rate, expected.rate, rtol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_identify_from_init_state_equals_the_default_start(order):
+    # the same fit, bit for bit, and the start state is left as it was
+    u, y, _ = make_rank2_data(1, n=200)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=order, rank=4, max_iter=6, elbo_rel_tol=1e-300,
+                       truncation_threshold=0.05, seed=3)
+    default, default_trace = identify(U, y, config)
+    start = init_state(order, 4, 4, seed=3)
+    means = [f.mean.copy() for f in start.factors]
+    fitted, trace = identify(U, y, config, start=start)
+    for name in ("iterations", "elbo", "rank", "noise_mean", "stop_reason"):
+        assert getattr(trace, name) == getattr(default_trace, name)
+    assert trace.stop_reason == "max_iter"
+    for f_fit, f_default in zip(fitted.factors, default.factors, strict=True):
+        assert_array_equal(f_fit.mean, f_default.mean)
+        assert_array_equal(f_fit.cov, f_default.cov)
+        assert f_fit.cov_logdet == f_default.cov_logdet
+    for name in ("col_prec", "row_prec", "noise"):
+        got, want = getattr(fitted, name), getattr(default, name)
+        assert_array_equal(got.shape, want.shape)
+        assert_array_equal(got.rate, want.rate)
+    for f, mean in zip(start.factors, means, strict=True):
+        assert_array_equal(f.mean, mean)
+        assert_array_equal(f.cov, np.eye(4 * 5))
+    assert start.noise == init_state(order, 4, 4, seed=3).noise
+
+
+def test_identify_takes_the_rank_from_the_start():
+    u, y, _ = make_rank2_data(2, n=200)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=2, rank=6, max_iter=3, elbo_rel_tol=1e-300,
+                       truncation_threshold=1e-12)
+    _, trace = identify(U, y, config, start=init_state(2, 4, 3, seed=5))
+    assert trace.rank == [3, 3, 3]
+
+
+def test_identify_refuses_a_start_that_does_not_fit():
+    u, y, _ = make_rank2_data(2, n=100)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=2, rank=3, max_iter=2)
+    no_cov = init_state(2, 4, 3)
+    no_cov.factors[1].cov = None
+    for start, match in [(init_state(3, 4, 3), "order"),
+                         (init_state(2, 5, 3), "window"),
+                         (init_state(2, 4, 3, row_prec_fixed=True), "row_prec_fixed"),
+                         (no_cov, "factor 1 has no covariance")]:
+        with pytest.raises(ValueError, match=match):
+            identify(U, y, config, start=start)
+    with pytest.raises(ValueError, match="priors and normalization"):
+        identify(U, y, config, priors=PriorConfig(), start=init_state(2, 4, 3))
+    with pytest.raises(ValueError, match="priors and normalization"):
+        identify(U, y, config, normalization=NormalizationRecord(),
+                 start=init_state(2, 4, 3))
+
+
+def test_identify_records_why_it_stopped():
+    u, y, _ = make_rank2_data(0, n=200)
+    U = build_lagged_matrix(u, 4)
+    loose = FitConfig(order=2, rank=2, max_iter=500, elbo_rel_tol=1e-3)
+    _, trace = identify(U, y, loose)
+    assert trace.stop_reason == "tolerance"
+    assert len(trace) < loose.max_iter
+    capped = FitConfig(order=2, rank=2, max_iter=4, elbo_rel_tol=1e-300)
+    _, trace = identify(U, y, capped)
+    assert trace.stop_reason == "max_iter"
+    assert len(trace) == capped.max_iter
 
 
 def test_truncation_always_retains_one_column():

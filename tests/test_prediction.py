@@ -10,6 +10,7 @@ from bayesvolterra import (
     FitConfig,
     GammaPosterior,
     NormalizationRecord,
+    block_quadratics,
     build_lagged_matrix,
     evaluate,
     expected_output,
@@ -26,6 +27,7 @@ from bayesvolterra.features import SCORE_BLOCK
 
 from _oracles import (
     full_window_predict,
+    pair_taps,
     student_t_oracle,
     traced_peak,
     vb_linear_oracle,
@@ -570,3 +572,114 @@ def test_fft_predict_holds_the_taps_and_one_record_chunk():
     bound = taps + 8 * (4 * n + 6 * window * (prediction.FFT_BLOCK + 2 * length))
     assert 8 * window * n > bound
     assert traced_peak(lambda: predict(state, u)) <= bound
+
+
+def reference_taps(state, d, length):
+    """pair_taps of factor d's coefficients times 2 - delta_rs, and the
+    (F, P, I) rfft of the taps at `length`."""
+    coefs = block_quadratics(state.factors[d].cov, state.rank, state.window)
+    constants, taps = pair_taps(coefs * prediction._pair_scales(state.rank),
+                                state.window)
+    return constants, taps, np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 5, 7])
+@pytest.mark.parametrize("memory", [1, 2, 9, 30])
+@pytest.mark.parametrize("tap_rows, walk_pairs", [(3, 4), (6, 9)])
+def test_taps_read_from_the_covariance_equal_the_coefficient_taps(order, rank, memory,
+                                                                   tap_rows, walk_pairs,
+                                                                   monkeypatch):
+    # bit for bit, in chunks of 3 or 6 pairs that start and end inside a
+    # band (6 pairs are transformed as 4 and 2) and walks of 4 or 9 pairs
+    # that end inside a factor or span two, up to the last pair (R - 1, R - 1)
+    state = scoring_state(40 + memory, order=order, memory=memory, rank=rank)
+    # exactly symmetric, as every covariance the fit makes
+    for f in state.factors:
+        f.cov = 0.5 * (f.cov + f.cov.T)
+        assert_array_equal(f.cov, f.cov.T)
+    length = prediction._fft_length(memory)
+    monkeypatch.setattr(prediction, "TAP_ROWS", tap_rows)
+    monkeypatch.setattr(prediction, "TAP_BYTES",
+                        walk_pairs * 16 * (memory + 1) * (length // 2 + 1))
+    walks = prediction._walks(state)
+    pairs = rank * (rank + 1) // 2
+    scratch = np.empty((length // 2 + 1) * walk_pairs * state.window, dtype=complex)
+    reference = [reference_taps(state, d, length) for d in range(order)]
+    seen = 0
+    for walk, (constants, spectra) in zip(walks, prediction._walk_taps(state, walks, length,
+                                                                      scratch)):
+        row = 0
+        for d, first, stop in walk:
+            want_constants, want_taps, want_spectra = reference[d]
+            rows = slice(row, row + stop - first)
+            assert_array_equal(constants[rows], want_constants[first:stop])
+            assert_array_equal(spectra[:, rows], want_spectra[:, first:stop])
+            for lo in range(first, stop, 3):
+                hi = min(lo + 3, stop)
+                got_constants = np.empty(hi - lo)
+                got_taps = np.zeros((hi - lo, state.window, memory))
+                prediction._cov_taps(state.factors[d].cov, rank, lo, hi, got_constants,
+                                     np.zeros((hi - lo, memory, state.window)), got_taps)
+                assert_array_equal(got_constants, want_constants[lo:hi])
+                assert_array_equal(got_taps, want_taps[lo:hi])
+            row += stop - first
+            seen += stop - first
+    assert seen == order * pairs
+
+
+def test_tap_views_stay_inside_the_covariance(monkeypatch):
+    # every strided view of a covariance, the last pair's among them, ends
+    # inside its buffer; a view that would not is refused
+    order, rank, memory = 2, 4, 9
+    state = scoring_state(41, order=order, memory=memory, rank=rank)
+    length = prediction._fft_length(memory)
+    size = rank * (memory + 1)
+    views = []
+    skew = prediction._skew
+
+    def recording(cov, first, shape, steps):
+        views.append((first, shape, steps))
+        assert cov.size == size * size
+        return skew(cov, first, shape, steps)
+
+    monkeypatch.setattr(prediction, "_skew", recording)
+    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    walks = prediction._walks(state)
+    scratch = np.empty((length // 2 + 1) * order * rank * (rank + 1) // 2 * (memory + 1),
+                       dtype=complex)
+    for _ in prediction._walk_taps(state, walks, length, scratch):
+        pass
+    assert views
+    ends = [first + sum((n - 1) * step for n, step in zip(shape, steps))
+            for first, shape, steps in views]
+    assert all(0 <= first for first, _, _ in views)
+    assert max(ends) < size * size
+    # the last block's rows start at element ((R - 1) I + 1)(R I) + (R - 1) I + 1
+    last = ((rank - 1) * (memory + 1) + 1) * size + (rank - 1) * (memory + 1) + 1
+    assert sum(first == last for first, _, _ in views) == order * 2
+    cov = state.factors[0].cov
+    with pytest.raises(ValueError):
+        skew(cov, last, (1, memory, memory), (memory + 1, size + 1, 1))
+
+
+def test_fft_predict_makes_no_coefficient_array(monkeypatch):
+    # the FFT form reads its taps from the covariances; the packed form
+    # builds one coefficient array per factor
+    order, rank, memory, n = 3, 2, 40, 1200
+    assert prediction._fft_scoring(memory, rank, n)
+    state = scoring_state(42, order=order, memory=memory, rank=rank)
+    u = np.random.default_rng(42).uniform(-1.0, 3.0, n)
+    calls = []
+    quadratics = prediction.block_quadratics
+
+    def counting(*args):
+        calls.append(args)
+        return quadratics(*args)
+
+    monkeypatch.setattr(prediction, "block_quadratics", counting)
+    predict(state, u)
+    assert not calls
+    monkeypatch.setattr(prediction, "_fft_scoring", lambda memory, rank, windows: False)
+    predict(state, u)
+    assert len(calls) == order
