@@ -142,20 +142,31 @@ def write_csv(path, header, columns):
     """Write equal-length columns under `header` as a CSV file.
 
     Each column is a 1-D array or list, or a scalar repeated on every row,
-    which is formatted once. Floats are written by repr and integers by
-    str, with \\r\\n line ends: byte for byte what csv.writer writes for
-    these cells. Rows are formatted WRITE_BLOCK at a time, so no
-    whole-record list of Python numbers is made.
+    which is formatted once; at least one column must be an array, to set
+    the number of rows. Floats are written by repr and integers by str,
+    with \\r\\n line ends: byte for byte what csv.writer writes for these
+    cells. Rows are formatted WRITE_BLOCK at a time, so no whole-record
+    list of Python numbers is made. A header that names a different number
+    of columns, arrays of different lengths, or no array at all raise
+    ValueError before the file is opened.
     """
-    arrays, fields = [], []
-    for column in columns:
+    columns = list(columns)
+    if len(header) != len(columns):
+        raise ValueError(f"header names {len(header)} columns, {len(columns)} given")
+    arrays, fields, lengths = [], [], []
+    for name, column in zip(header, columns):
         if np.ndim(column) == 0:
             fields.append(repr(np.asarray(column).item()))
         else:
             arrays.append(np.asarray(column))
             fields.append("{!r}")
-    template = ",".join(fields) + "\r\n"
+            lengths.append(f"{name} has {len(arrays[-1])}")
+    if not arrays:
+        raise ValueError("every column is a scalar, so no column sets the number of rows")
     rows = len(arrays[0])
+    if any(len(array) != rows for array in arrays):
+        raise ValueError(f"columns differ in length: {', '.join(lengths)} rows")
+    template = ",".join(fields) + "\r\n"
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for start in range(0, rows, WRITE_BLOCK):

@@ -2,12 +2,16 @@
 expectations.
 
 build_lagged_matrix makes the whole I x N window matrix U of a record,
-which the fit needs. lag_blocks yields the same columns SCORE_BLOCK at a
+which the fit needs. lag_blocks yields the same columns one block at a
 time, each block built from the slice of the record that carries its
 M - 1 samples of history, and column_blocks slices a matrix already built
-the same way. fill_blocks is the one walk over such blocks: it writes a
-contraction of each block into its columns of the output. Scoring and
-simulation use it, so they hold one block's windows instead of U.
+the same way. A block is sized by its window square (block_windows):
+SCORE_BLOCK windows times the largest power of two up to 8 whose
+window_pairs fits BLOCK_BYTES, so short memories take few wide blocks and
+long ones blocks of SCORE_BLOCK. fill_blocks is the one walk over such
+blocks: it writes a contraction of each block into its columns of the
+output. Scoring and simulation use it, so they hold one block's windows
+instead of U.
 
 Every per-factor product, of projections W_d' U or of moment stacks, is
 one left fold, hadamard. The model output, design columns and synthetic
@@ -49,9 +53,11 @@ import numpy as np
 from .errors import checked
 from .tensor_ops import check_factors, khatri_rao
 
-# windows per block wherever a record is turned into windows one block at a
-# time: lag_blocks, and the window squares of the predictive variance
+# wherever a record is turned into windows one block at a time (lag_blocks,
+# column_blocks): the fewest windows of a block, and the most bytes of a
+# block's window square, up to which blocks grow to SCORE_BLOCK * 2^k, k <= 3
 SCORE_BLOCK = 512
+BLOCK_BYTES = 4 << 20
 
 
 def _check_signal(u, memory):
@@ -80,25 +86,39 @@ def build_lagged_matrix(signal, memory):
     return out
 
 
+def block_windows(memory):
+    """The windows of one block of a memory-M window matrix: SCORE_BLOCK
+    times the largest 2^k, k <= 3, whose packed window square,
+    I(I+1)/2 rows of 8-byte products, fits BLOCK_BYTES; SCORE_BLOCK when
+    none does. That is 4096 windows up to M = 14, 2048 up to M = 21, 1024
+    up to M = 30 and 512 beyond."""
+    squares = (memory + 1) * (memory + 2) // 2
+    size = SCORE_BLOCK << 3
+    while size > SCORE_BLOCK and 8 * squares * size > BLOCK_BYTES:
+        size //= 2
+    return size
+
+
 def lag_blocks(signal, memory, start=0):
     """Yield (offset, U_block) for the windows of `signal` from `start` on,
-    SCORE_BLOCK windows at a time.
+    block_windows(memory) windows at a time.
 
     U_block holds the columns start + offset, start + offset + 1, ... of
     build_lagged_matrix(signal, memory), bit for bit: it is built from the
     slice of the signal that ends with its last window and carries the
     M - 1 samples before its first, and is a view of that slice's window
-    matrix. The blocks start at start, start + SCORE_BLOCK, ..., so only
-    one block's windows exist at a time.
+    matrix. The blocks start at start, start + B, ... for B =
+    block_windows(memory), so only one block's windows exist at a time.
     """
     u = np.asarray(signal, dtype=float)
     memory = _check_signal(u, memory)
     start = checked("start", start, int)
     if not 0 <= start < u.size:
         raise ValueError(f"start {start} is outside the {u.size} samples")
-    for begin in range(start, u.size, SCORE_BLOCK):
+    size = block_windows(memory)
+    for begin in range(start, u.size, size):
         first = max(0, begin - memory + 1)
-        windows = build_lagged_matrix(u[first:begin + SCORE_BLOCK], memory)
+        windows = build_lagged_matrix(u[first:begin + size], memory)
         yield begin - start, windows[:, begin - first:]
 
 
@@ -131,11 +151,12 @@ def base_channels(signal, memory, begin, stop):
 
 
 def column_blocks(U):
-    """Yield (offset, U[:, offset:offset + SCORE_BLOCK]) for the columns of
-    the window matrix U, SCORE_BLOCK at a time: lag_blocks for a matrix
-    already built."""
-    for begin in range(0, U.shape[1], SCORE_BLOCK):
-        yield begin, U[:, begin:begin + SCORE_BLOCK]
+    """Yield (offset, U[:, offset:offset + B]) for the columns of the
+    window matrix U, B = block_windows(M) at a time for its I = M + 1 rows:
+    lag_blocks for a matrix already built."""
+    size = block_windows(U.shape[0] - 1)
+    for begin in range(0, U.shape[1], size):
+        yield begin, U[:, begin:begin + size]
 
 
 def fill_blocks(blocks, rows, n, contraction):
@@ -229,25 +250,35 @@ def _packed_rank(rows):
     return rank if rank * (rank + 1) // 2 == rows else None
 
 
-def window_pairs(U):
+def _output(out, shape):
+    """`out`, which must have `shape`, or a new array of that shape."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    return out
+
+
+def window_pairs(U, out=None):
     """The packed square of the rows of any (I, N) matrix: the (I(I+1)/2, N)
     products U[i] * U[j] for i <= j, in the layout of _bands.
 
     These are the rows of khatri_rao(U, U) with i <= j; the rest of that
-    square repeats them. Each entry is one product, written in place. Of
-    the window matrix it is the packed window square u_i u_j.
+    square repeats them. Each entry is one product, written in place, into
+    `out` when that is given. Of the window matrix it is the packed window
+    square u_i u_j.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise ValueError(f"window matrix has shape {U.shape}, expected a matrix")
     window = U.shape[0]
-    out = np.empty((window * (window + 1) // 2, U.shape[1]))
+    out = _output(out, (window * (window + 1) // 2, U.shape[1]))
     for i, rows in _bands(window):
         np.multiply(U[i], U[i:], out=out[rows])
     return out
 
 
-def block_quadratics(cov, rank, window):
+def block_quadratics(cov, rank, window, out=None):
     """Coefficients c with (c @ window_pairs(U))[p, n] = u_n' C_rs u_n.
 
     C_rs is the I x I block of the (R*I, R*I) covariance coupling columns
@@ -255,7 +286,8 @@ def block_quadratics(cov, rank, window):
     The result is (R(R+1)/2, I(I+1)/2): C_rs[i, j] + C_rs[j, i] for the
     window pair i < j, and C_rs[i, i] on the diagonal. Each band of rows
     is built from a view of the covariance's blocks (r, s >= r), so no
-    (R(R+1)/2, I, I) copy of the blocks is made.
+    (R(R+1)/2, I, I) copy of the blocks is made. It is written into `out`
+    when that is given.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (window * rank, window * rank):
@@ -263,7 +295,7 @@ def block_quadratics(cov, rank, window):
                          f"rank {rank} and window {window}")
     blocks = cov.reshape(rank, window, rank, window)
     i, j = np.triu_indices(window)
-    out = np.empty((rank * (rank + 1) // 2, i.size))
+    out = _output(out, (rank * (rank + 1) // 2, i.size))
     for r, rows in _bands(rank):
         # the blocks (r, s) for s >= r, as an (R - r, I, I) view
         band = blocks[r, :, r:, :].transpose(1, 0, 2)

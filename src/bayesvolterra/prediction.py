@@ -7,15 +7,20 @@ normalized record, an N-vector, and turns it into windows one lag_blocks
 block at a time, so no I x N window matrix is built.
 
 The packed form (_scorer) is one features.fill_blocks walk with the
-scoring contraction. Per block it projects the windows on every factor
-mean once, folds those projections into the locations and the other
-modes' cofactors h_d, and takes the parameter variance from two packed
-squares, window_pairs of the block's windows and of each h_d, and the
-covariance coefficients of the fit's second moments, which are built once
-per call and scaled in place. All three are packed in the one pair layout
-of the features module. Beyond the model and a few N-vectors, the only
-large arrays are one (R(R+1)/2, I(I+1)/2) coefficient array per factor and
-one block's windows and window square. predictive_arrays, which takes
+scoring contraction, over blocks sized by their window square
+(features.block_windows). Per block it projects the windows on every
+factor mean once, folds those projections into the locations and the
+other modes' cofactors h_d, and takes the parameter variance from two
+packed squares, window_pairs of the block's windows and of each h_d, and
+the covariance coefficients of the fit's second moments. The D factors'
+coefficients are built once per call into one stacked array and scaled in
+place, so a block takes one coefficient product for every factor, whose
+rows the pair weights h_r h_s then weigh in place. All are packed in the
+one pair layout of the features module. Beyond the model and a few
+N-vectors, the only large arrays are the stacked
+(D R(R+1)/2, I(I+1)/2) coefficients and one block's windows, window square
+and (D R(R+1)/2, B) product; the last two, and one band of pair weights,
+share one scratch array made once per call. predictive_arrays, which takes
 arbitrary windows, always uses it.
 
 On a record of at least FFT_WINDOWS windows, predict at long memory
@@ -62,6 +67,7 @@ from .features import (
     _bands,
     base_channels,
     block_quadratics,
+    block_windows,
     column_blocks,
     fill_blocks,
     hadamard,
@@ -72,9 +78,10 @@ from .features import (
 
 # overlap-save scoring: the most bytes of one walk's transformed taps, and
 # of the record inputs held across walks; the pairs or channels transformed
-# at a time; the windows of one record chunk (whole SCORE_BLOCK blocks, so
-# that the locations are taken on the packed form's blocks); and the fewest
-# windows a record must have to take that form
+# at a time; the windows of one record chunk (whole lag_blocks blocks
+# wherever _fft_scoring takes this form, so that the locations are taken on
+# the packed form's blocks); and the fewest windows a record must have to
+# take that form
 TAP_BYTES = 12 << 20
 TAP_ROWS = 16
 FFT_BLOCK = 4 * SCORE_BLOCK
@@ -102,34 +109,56 @@ def _pair_scales(rank):
     return np.where(r == s, 1.0, 2.0)[:, None]
 
 
-def _scorer(state):
-    """The scoring contraction: a block of B windows to the (2, B) array of
-    their model-unit locations and squared scales.
+def _scorer(state, windows):
+    """The scoring contraction for a walk over `windows` windows: a block of
+    B windows to the (2, B) array of their model-unit locations and squared
+    scales.
 
     The squared scale is b_N/a_N plus one quadratic form per factor,
     g_d' Sigma_d g_d, with g_d = h_d kron u_n the mode-d design column at
     the posterior means. It is summed over the column pairs r <= s as
     (2 - delta_rs) h_r h_s q_rs, where h_r h_s is a row of window_pairs(h_d)
     and q_rs = u_n' C_rs u_n comes from block_quadratics(Sigma_d) and the
-    block's window_pairs; the coefficients are built once per contraction
-    and scaled by 2 - delta_rs in place.
+    block's window_pairs. The D factors' coefficients are built once per
+    contraction, into one (D R(R+1)/2, I(I+1)/2) array scaled by
+    2 - delta_rs in place, so a block takes one product with its window
+    square for every factor. Each factor's rows of that product are
+    weighed in place by h_r h_s, band by band of _bands, and summed in the
+    order of the pairs. The window square, the product and one band of
+    weights are written into one scratch array, made once per contraction
+    for the widest block the walk can have. One allocation rather than three: with glibc's
+    allocator and numpy, separate buffers were faulted in page by page on
+    every call (about 2 000 faults a call at D = 3, M = 20, R = 11), the
+    single one on none after the first.
     """
-    twice = _pair_scales(state.rank)
-    coefs = [block_quadratics(f.cov, state.rank, state.window)
-             for f in state.factors]
-    for c in coefs:
-        c *= twice
+    order, rank, window = state.order, state.rank, state.window
+    pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
+    coefs = np.empty((order, pairs, squares))
+    for f, c in zip(state.factors, coefs):
+        block_quadratics(f.cov, rank, window, c)
+    coefs *= _pair_scales(rank)
+    coefs = coefs.reshape(order * pairs, squares)
     noise_var = float(state.noise.rate / state.noise.shape)
+    widest = min(block_windows(state.memory), windows)
+    scratch = np.empty((squares + order * pairs + rank) * widest)
+    square, products, band = np.split(
+        scratch, [squares * widest, (squares + order * pairs) * widest])
 
     def score(block):
-        shape = (state.rank, block.shape[1])
+        n = block.shape[1]
         projections = [m.T @ block for m in state.factor_means]
-        out = np.full((2, block.shape[1]), noise_var)
-        out[0] = hadamard(projections, shape).sum(axis=0)
-        uu = window_pairs(block)
-        for d, c in enumerate(coefs):
-            h = hadamard(projections[:d] + projections[d + 1:], shape)
-            out[1] += (window_pairs(h) * (c @ uu)).sum(axis=0)
+        out = np.full((2, n), noise_var)
+        out[0] = hadamard(projections, (rank, n)).sum(axis=0)
+        uu = window_pairs(block, square[:squares * n].reshape(squares, n))
+        q = products[:order * pairs * n].reshape(order, pairs, n)
+        np.matmul(coefs, uu, out=q.reshape(order * pairs, n))
+        for d in range(order):
+            h = hadamard(projections[:d] + projections[d + 1:], (rank, n))
+            for r, rows in _bands(rank):
+                weights = band[:(rank - r) * n].reshape(rank - r, n)
+                np.multiply(h[r], h[r:], out=weights)
+                q[d, rows] *= weights
+            out[1] += q[d].sum(axis=0)
         return out
 
     return score
@@ -259,7 +288,7 @@ def _walk_taps(state, walks, length, scratch):
 def _chunk_inputs(state, x, begin, size, length):
     """What every walk shares at the `size` windows of x from `begin`: their
     (D, R, size) projections on the factor means, taken on lag_blocks'
-    SCORE_BLOCK blocks as _scorer gets them, and the (F, I, S) rfft of the
+    blocks as _scorer gets them, and the (F, I, S) rfft of the
     S overlap-save segments of their base channels."""
     means, memory = state.factor_means, state.memory
     projections = fill_blocks(lag_blocks(x[:begin + size], memory, begin),
@@ -372,7 +401,7 @@ def predictive_arrays(state, U):
         raise ValueError(f"window matrix has shape {U.shape}, the model "
                          f"expects {state.window} rows")
     locations, scale_sq = fill_blocks(column_blocks(U), (2,), U.shape[1],
-                                      _scorer(state))
+                                      _scorer(state, U.shape[1]))
     return locations, scale_sq, 2.0 * float(state.noise.shape)
 
 
@@ -399,7 +428,7 @@ def predict(state, u, start=0):
         locations, scales = _fft_scores(state, x, start)
     else:
         locations, scales = fill_blocks(lag_blocks(x, state.memory, start), (2,),
-                                        windows, _scorer(state))
+                                        windows, _scorer(state, windows))
     # original units, in place
     locations *= record.output_std
     locations += record.output_mean

@@ -41,7 +41,7 @@ from bayesvolterra import (
     synthesize,
     window_pairs,
 )
-from bayesvolterra.features import SCORE_BLOCK, hadamard
+from bayesvolterra.features import block_windows, hadamard
 
 
 def kron_chain(columns):
@@ -373,7 +373,7 @@ def full_window_predict(state, u, start=0):
     """predict's original-unit (locations, scales, dof) from the whole window
     matrix of the normalized record: the locations from expected_output on
     its columns from `start`, and the squared scales summed over blocks of
-    SCORE_BLOCK of those columns, each with its own window_pairs and
+    block_windows(M) of those columns, each with its own window_pairs and
     column_products."""
     record = state.normalization
     U = build_lagged_matrix(normalize_input(u, record), state.memory)[:, start:]
@@ -381,8 +381,9 @@ def full_window_predict(state, u, start=0):
     scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
-    for begin in range(0, U.shape[1], SCORE_BLOCK):
-        block = U[:, begin:begin + SCORE_BLOCK]
+    size = block_windows(state.memory)
+    for begin in range(0, U.shape[1], size):
+        block = U[:, begin:begin + size]
         uu = window_pairs(block)
         for d, f in enumerate(state.factors):
             coef = block_quadratics(f.cov, state.rank, state.window) * twice

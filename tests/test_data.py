@@ -22,7 +22,7 @@ from bayesvolterra import (
     synthesize,
 )
 from bayesvolterra import data
-from bayesvolterra.features import SCORE_BLOCK, lag_blocks
+from bayesvolterra.features import block_windows, lag_blocks
 
 from _oracles import (
     cpd_expand,
@@ -200,6 +200,32 @@ def test_save_csv_matches_a_row_by_row_writer_bytewise(tmp_path):
     save_csv(tmp_path / "saved.csv", Dataset(values[:, 0], values[:, 1]))
     reference_write_csv(tmp_path / "reference.csv", ["u", "y"], values.tolist())
     assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="u has 3, y has 5 rows"):
+        data.write_csv(path, ["u", "y"], [np.zeros(3), np.ones(5)])
+    assert not path.exists()
+
+
+def test_write_csv_refuses_a_header_of_another_width(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="header names 3 columns, 2 given"):
+        data.write_csv(path, ["u", "y", "z"], [np.zeros(3), np.ones(3)])
+    with pytest.raises(ValueError, match="header names 1 columns, 2 given"):
+        data.write_csv(path, ["u"], [np.zeros(3), np.ones(3)])
+    assert not path.exists()
+
+
+def test_write_csv_refuses_only_scalar_columns(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="every column is a scalar"):
+        data.write_csv(path, ["a", "b"], [1.0, 2])
+    assert not path.exists()
+    # one array sets the rows; the scalars repeat on each
+    data.write_csv(path, ["a", "b", "c"], [1.5, np.array([1, 2]), 3])
+    assert path.read_bytes() == b"a,b,c\r\n1.5,1,3\r\n1.5,2,3\r\n"
 
 
 def test_dataset_validation():
@@ -392,7 +418,7 @@ def test_center_output_walks_its_input_once(monkeypatch):
         return lag_blocks(*args, **kwargs)
 
     monkeypatch.setattr(data, "lag_blocks", counting)
-    u = np.random.default_rng(34).uniform(0.0, 1.0, 2 * SCORE_BLOCK + 9)
+    u = np.random.default_rng(34).uniform(0.0, 1.0, 2 * block_windows(5) + 9)
     center_output(random_cpd_system(3, 5, 2, np.random.default_rng(35)), u)
     assert len(calls) == 1
 
@@ -400,7 +426,7 @@ def test_center_output_walks_its_input_once(monkeypatch):
 def test_simulation_equals_the_full_window_formulas():
     # three whole lag blocks and a partial one, bit for bit
     rng = np.random.default_rng(32)
-    u = rng.uniform(0.0, 1.0, 3 * SCORE_BLOCK + 45)
+    u = rng.uniform(0.0, 1.0, 3 * block_windows(8) + 45)
     system = random_cpd_system(3, 8, 2, rng, noise_std=0.1)
     calibrated = calibrate_components(system, u, component_std=0.5)
     reference = full_window_calibrate_components(system, u, component_std=0.5)

@@ -27,8 +27,8 @@ from bayesvolterra import (
     window_pairs,
 )
 from bayesvolterra.features import (
-    SCORE_BLOCK,
     base_channels,
+    block_windows,
     column_blocks,
     hadamard,
 )
@@ -93,11 +93,13 @@ def test_lagged_matrix_rejects_bad_input():
 
 
 @pytest.mark.parametrize("n, memory, start", [
-    (3 * SCORE_BLOCK + 37, 6, 0),  # from the first window, a partial last block
-    (3 * SCORE_BLOCK + 37, 6, 4),  # 0 < start < memory: history cut by the record start
-    (3 * SCORE_BLOCK + 37, 40, SCORE_BLOCK),  # start on a block edge
-    (3 * SCORE_BLOCK, 40, SCORE_BLOCK - 1),  # blocks straddle the edges from 0
-    (2 * SCORE_BLOCK + 5, 9, 5),  # whole blocks only
+    (3 * block_windows(6) + 37, 6, 0),  # from the first window, a partial last block
+    (3 * block_windows(6) + 37, 6, 4),  # 0 < start < memory: history cut by the record start
+    (3 * block_windows(40) + 37, 40, block_windows(40)),  # start on a block edge
+    (3 * block_windows(40), 40, block_windows(40) - 1),  # blocks straddle the edges from 0
+    (2 * block_windows(9) + 5, 9, 5),  # whole blocks only
+    (3 * block_windows(20) + 11, 20, 3),  # blocks of 2048 windows
+    (3 * block_windows(25) + 11, 25, 0),  # blocks of 1024 windows
     (5, 12, 0),  # a record shorter than the memory
     (5, 12, 3),
 ])
@@ -105,9 +107,10 @@ def test_lag_blocks_are_the_columns_of_the_window_matrix(n, memory, start):
     u = np.random.default_rng(n + memory + start).standard_normal(n)
     full = build_lagged_matrix(u, memory)
     blocks = list(lag_blocks(u, memory, start))
-    assert [offset for offset, _ in blocks] == list(range(0, n - start, SCORE_BLOCK))
+    size = block_windows(memory)
+    assert [offset for offset, _ in blocks] == list(range(0, n - start, size))
     for offset, block in blocks:
-        width = min(SCORE_BLOCK, n - start - offset)
+        width = min(size, n - start - offset)
         assert block.shape == (memory + 1, width)
         assert_array_equal(block, full[:, start + offset:start + offset + width])
     # column_blocks slices a built window matrix into the same blocks

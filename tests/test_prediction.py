@@ -23,7 +23,7 @@ from bayesvolterra import (
     rmse,
 )
 from bayesvolterra import prediction
-from bayesvolterra.features import SCORE_BLOCK
+from bayesvolterra.features import BLOCK_BYTES, SCORE_BLOCK, block_windows
 
 from _oracles import (
     full_window_predict,
@@ -194,8 +194,8 @@ def test_predictive_arrays_across_block_edges():
     # two full scoring blocks and a ragged one, against the explicit
     # Kronecker design column g = kron(h, u) and g' Sigma g per window
     rng = np.random.default_rng(9)
-    order, rank, memory, n = 3, 4, 6, 1100
-    assert 2 * SCORE_BLOCK < n < 3 * SCORE_BLOCK
+    order, rank, memory = 3, 4, 6
+    n = 2 * block_windows(memory) + 76
     state = init_state(order, memory, rank, seed=9)
     size = rank * (memory + 1)
     for f in state.factors:
@@ -222,16 +222,17 @@ def test_predictive_arrays_across_block_edges():
 def test_predictive_arrays_hold_one_block_square_at_a_time():
     # beyond the state: one coefficient array per factor and the window
     # square of one block, plus O(R(R+1)/2 I(I+1)/2 + R N) scratch
-    order, rank, memory, n = 2, 4, 60, 3 * SCORE_BLOCK + 50
+    order, rank, memory = 2, 4, 60
+    block = block_windows(memory)
+    n = 3 * block + 50
     window = memory + 1
     rng = np.random.default_rng(24)
     U = build_lagged_matrix(rng.uniform(0.0, 1.0, n), memory)
     state = init_state(order, memory, rank, seed=24)
     pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
-    small = pairs * squares + (pairs + rank) * SCORE_BLOCK + rank * n
+    small = pairs * squares + (pairs + rank) * block + rank * n
     peak = traced_peak(lambda: predictive_arrays(state, U))
-    assert peak <= 8 * (order * pairs * squares + SCORE_BLOCK * squares
-                        + 2 * small)
+    assert peak <= 8 * (order * pairs * squares + block * squares + 2 * small)
 
 
 def scoring_state(seed, order=3, memory=8, rank=3):
@@ -251,12 +252,12 @@ def scoring_state(seed, order=3, memory=8, rank=3):
     return state
 
 
-@pytest.mark.parametrize("start", [0, 5, SCORE_BLOCK + 190])
+@pytest.mark.parametrize("start", [0, 5, block_windows(8) + 190])
 def test_predict_and_evaluate_equal_the_full_window_formulas(start):
     # at least three lag blocks after `start`, bit for bit
     state = scoring_state(10)
     rng = np.random.default_rng(10)
-    n = start + 3 * SCORE_BLOCK + 77
+    n = start + 3 * block_windows(state.memory) + 77
     u = rng.uniform(-1.0, 3.0, n)
     y = rng.standard_normal(n)
     locations, scales, dof = predict(state, u, start=start)
@@ -287,17 +288,53 @@ def test_predict_refuses_a_start_that_is_not_an_integer():
 
 def test_predict_holds_no_window_matrix():
     # a few N-vectors, one block's windows and window square, the D
-    # coefficient arrays and O((R(R+1)/2 + D R) SCORE_BLOCK) scratch; the
-    # I x N window matrix alone would exceed it
+    # coefficient arrays and O((R(R+1)/2 + D R) B) scratch for blocks of B
+    # windows; the I x N window matrix alone would exceed it
     order, rank, memory, n = 2, 2, 50, 40_000
     window = memory + 1
+    block = block_windows(memory)
     pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
     state = scoring_state(12, order=order, memory=memory, rank=rank)
     u = np.random.default_rng(12).uniform(-1.0, 3.0, n)
-    bound = 8 * (4 * n + window * (SCORE_BLOCK + memory) + squares * SCORE_BLOCK
-                 + order * pairs * squares + 4 * (pairs + order * rank) * SCORE_BLOCK)
+    bound = 8 * (4 * n + window * (block + memory) + squares * block
+                 + order * pairs * squares + 4 * (pairs + order * rank) * block)
     assert 8 * window * n > bound
     assert traced_peak(lambda: predict(state, u)) <= bound
+
+
+def test_packed_predict_holds_one_block_square_and_the_stacked_product():
+    # at small memory the blocks grow to 2048 windows: one block's window
+    # square, the D factors' stacked coefficients and their product with
+    # it, a few N-vectors and O((I + D R + R) B) scratch for the block's
+    # windows, projections, cofactors and one band of pair weights
+    order, rank, memory, n = 3, 11, 20, 40_000
+    window = memory + 1
+    block = block_windows(memory)
+    assert block == 4 * SCORE_BLOCK
+    assert not prediction._fft_scoring(memory, rank, n)
+    pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
+    state = scoring_state(44, order=order, memory=memory, rank=rank)
+    u = np.random.default_rng(44).uniform(-1.0, 3.0, n)
+    bound = 8 * (squares * block + order * pairs * squares + order * pairs * block
+                 + 6 * n + (window + order * rank + 4 * rank) * block)
+    assert traced_peak(lambda: predict(state, u)) <= bound
+
+
+def test_blocks_are_sized_by_their_window_square():
+    # a power-of-two multiple of SCORE_BLOCK, the largest up to 8 whose
+    # window square fits BLOCK_BYTES, or SCORE_BLOCK when none does; a
+    # divisor of FFT_BLOCK wherever the FFT form can be taken, so that
+    # form's record chunks are whole blocks
+    for memory in range(1, 201):
+        size = block_windows(memory)
+        ratio = size // SCORE_BLOCK
+        assert size == ratio * SCORE_BLOCK and ratio in (1, 2, 4, 8)
+        square = 8 * (memory + 1) * (memory + 2) // 2 * size
+        assert square <= BLOCK_BYTES or size == SCORE_BLOCK
+        assert ratio == 8 or 2 * square > BLOCK_BYTES
+        if any(prediction._fft_scoring(memory, rank, 10**9) for rank in range(1, 41)):
+            assert prediction.FFT_BLOCK % size == 0
+    assert [block_windows(m) for m in (10, 20, 31, 100)] == [4096, 2048, 512, 512]
 
 
 def test_predict_maps_to_original_units():
