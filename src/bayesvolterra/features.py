@@ -21,7 +21,10 @@ are where the inference loop spends its time. Both contract against the
 packed window square window_pairs(U), which the caller builds once per
 fit; block_quadratics turns a factor covariance into the coefficients
 that map it to the quadratic forms u_n' C_rs u_n, which the predictive
-variance uses as well. Every symmetric pair array, the window square, a
+variance uses as well. A covariance is read by one routine, _block_sums,
+which writes the summed blocks C_rs + C_sr of a run of packed pairs; both
+block_quadratics and the predictive variance's filter taps are taken
+from those sums. Every symmetric pair array, the window square, a
 second-moment stack and a covariance's coefficients, is packed by the one
 rule of _bands, and an elementwise product of packed stacks is the packed
 product. Each reduction over samples has one implementation, a dense
@@ -39,9 +42,9 @@ is a bank of FIR filters over those channels, whose taps are entries of
 c: window n is (1, x(n), ..., x(n - M + 1)), so its pair (0, b) is
 x(n - (b - 1)) and a pair (a >= 1, b) is z_{b-a}(n - (a - 1)).
 base_channels builds the channels of a stretch of the record, as
-lag_blocks builds its windows; the predictive variance reads the taps of
-block_quadratics(Sigma) straight from the covariance and convolves the
-two.
+lag_blocks builds its windows, and channel_taps states where each tap
+sits in a block of window pairs; the predictive variance moves the taps
+from the summed blocks by that index and convolves the two.
 """
 
 from __future__ import annotations
@@ -130,9 +133,9 @@ def base_channels(signal, memory, begin, stop):
     k = 0, ..., M - 1, with the record zero outside its samples, as
     build_lagged_matrix takes it. Filtered by the taps of packed
     coefficients c, tap t of channel 0 the coefficient of the pair
-    (0, t + 1) and tap t of channel 1 + k that of (t + 1, t + 1 + k), plus
-    the coefficient of (0, 0), they give c @ window_pairs(U) at the windows
-    begin, ..., stop - 1.
+    (0, t + 1) and tap t of channel 1 + k that of (t + 1, t + 1 + k)
+    (channel_taps), plus the coefficient of (0, 0), they give
+    c @ window_pairs(U) at the windows begin, ..., stop - 1.
     """
     u = np.asarray(signal, dtype=float)
     # M - 1 more samples of the past, for the lag products of the first
@@ -148,6 +151,24 @@ def base_channels(signal, memory, begin, stop):
     for k in range(memory):
         np.multiply(x, padded[memory - 1 - k:memory - 1 - k + span], out=out[1 + k])
     return out
+
+
+def channel_taps(memory):
+    """Where the (I, M) taps of the base channels sit in an I x I block of
+    window pairs: (index, valid), both (I, M), tap t of channel c being
+    entry index[c, t] of the flattened block wherever valid[c, t].
+
+    Tap t of channel 0 is entry (0, t + 1) and tap t of channel 1 + k is
+    entry (1 + t, 1 + t + k), as base_channels describes; the taps with
+    t + k >= M have no entry (valid False, index 0) and are zero. Every
+    window pair i <= j but (0, 0), the constant, is one tap.
+    """
+    window = memory + 1
+    t = np.arange(memory)
+    i = np.vstack([np.zeros(memory, dtype=int), np.broadcast_to(1 + t, (memory, memory))])
+    j = np.vstack([1 + t, 1 + t + t[:, None]])
+    valid = j < window
+    return np.where(valid, i * window + j, 0), valid
 
 
 def column_blocks(U):
@@ -278,16 +299,45 @@ def window_pairs(U, out=None):
     return out
 
 
+def _band_runs(rank, first, stop):
+    """Yield (row, r, lo, hi) for the packed column pairs first <= p < stop
+    of a rank-R stack, band by band of _bands: the pairs (r, s) for
+    lo <= s < hi, which are the rows row, row + 1, ... of the range."""
+    for r, rows in _bands(rank):
+        begin, end = max(rows.start, first), min(rows.stop, stop)
+        if begin < end:
+            yield begin - first, r, r + begin - rows.start, r + end - rows.start
+
+
+def _block_sums(blocks, first, stop, out):
+    """Write C_rs + C_sr for the packed column pairs first <= p < stop of
+    the (R, I, R, I) covariance blocks into `out` (stop - first, I, I), and
+    return it.
+
+    This is the one reader of a covariance's quadratic forms: on an
+    exactly symmetric covariance C_sr[i, j] is C_rs[j, i], so entry (i, j)
+    is the coefficient of the window pair i < j in u' C_rs u, and the
+    diagonal is twice that of the pair (i, i). One np.add of two views of
+    the blocks per band run (_band_runs).
+    """
+    for row, r, lo, hi in _band_runs(blocks.shape[0], first, stop):
+        np.add(blocks[r, :, lo:hi, :].transpose(1, 0, 2), blocks[lo:hi, :, r, :],
+               out=out[row:row + hi - lo])
+    return out
+
+
 def block_quadratics(cov, rank, window, out=None):
     """Coefficients c with (c @ window_pairs(U))[p, n] = u_n' C_rs u_n.
 
     C_rs is the I x I block of the (R*I, R*I) covariance coupling columns
     r and s (column index slow), for the pair (r, s) = moment_pairs(R)[p].
     The result is (R(R+1)/2, I(I+1)/2): C_rs[i, j] + C_rs[j, i] for the
-    window pair i < j, and C_rs[i, i] on the diagonal. Each band of rows
-    is built from a view of the covariance's blocks (r, s >= r), so no
-    (R(R+1)/2, I, I) copy of the blocks is made. It is written into `out`
-    when that is given.
+    window pair i < j, and C_rs[i, i] on the diagonal. The covariance must
+    be exactly symmetric, as _solve_spd, truncate_rank, init_state and
+    load_model each make it: the sums are read as C_rs + C_sr
+    (_block_sums), one band of rows at a time into an (R, I, I) scratch,
+    and the window pairs i <= j taken from it, so no (R(R+1)/2, I, I) copy
+    of the blocks is made. It is written into `out` when that is given.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (window * rank, window * rank):
@@ -296,10 +346,10 @@ def block_quadratics(cov, rank, window, out=None):
     blocks = cov.reshape(rank, window, rank, window)
     i, j = np.triu_indices(window)
     out = _output(out, (rank * (rank + 1) // 2, i.size))
+    sums = np.empty((rank, window, window))
     for r, rows in _bands(rank):
-        # the blocks (r, s) for s >= r, as an (R - r, I, I) view
-        band = blocks[r, :, r:, :].transpose(1, 0, 2)
-        np.add(band[:, i, j], band[:, j, i], out=out[rows])
+        band = _block_sums(blocks, rows.start, rows.stop, sums[:rank - r])
+        np.take(band.reshape(rank - r, -1), i * window + j, axis=1, out=out[rows])
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
     out[:, i == j] *= 0.5
     return out
@@ -322,7 +372,9 @@ def second_moments(U, mean, cov, uu):
     block_quadratics(cov) @ uu, with `uu` the packed window square
     window_pairs(U); that product is the output, and the plug-in products
     are added to it band by band, so no other array of the output's size
-    is made.
+    is made. As for block_quadratics, the covariance must be exactly
+    symmetric, which _solve_spd, truncate_rank, init_state and load_model
+    each guarantee.
     """
     mean = np.asarray(mean, dtype=float)
     U = np.asarray(U, dtype=float)

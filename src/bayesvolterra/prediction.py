@@ -28,11 +28,12 @@ On a record of at least FFT_WINDOWS windows, predict at long memory
 parameter variance by overlap-save FFT instead (_fft_scores): each row of
 c @ window_pairs(U) is a bank of FIR filters over the record's I base
 channels (features.base_channels), whose taps are entries of the
-coefficients c. _cov_taps reads them straight from the covariance blocks,
-so no coefficient array is built. The D factors' pairs are taken in walks
-whose transformed taps, and whose products at one record chunk, each fit
-TAP_BYTES; each pair's taps are transformed once per call, and each walk
-goes over the record FFT_BLOCK windows at a time. A record chunk's
+coefficients c; _walk_taps takes them from the summed covariance blocks
+that block_quadratics reads, so no coefficient array is built. The D
+factors' pairs are taken in walks whose transformed taps, and whose
+products at one record chunk, each fit TAP_BYTES; each pair's taps are
+transformed once per call, and each walk goes over the record FFT_BLOCK
+windows at a time. A record chunk's
 projections on the factor means and the spectra of its channels are built
 once per walk and serve every factor in it; when a call makes several
 walks and the whole record's projections and spectra fit TAP_BYTES, they
@@ -64,10 +65,13 @@ from .data import normalize_input
 from .errors import checked
 from .features import (
     SCORE_BLOCK,
+    _band_runs,
     _bands,
+    _block_sums,
     base_channels,
     block_quadratics,
     block_windows,
+    channel_taps,
     column_blocks,
     fill_blocks,
     hadamard,
@@ -185,83 +189,22 @@ def _walks(state):
     return walks
 
 
-def _band_runs(rank, first, stop):
-    """Yield (row, r, lo, hi) for the packed column pairs first <= p < stop
-    of a rank-R stack, band by band of _bands: the pairs (r, s) for
-    lo <= s < hi, which are the rows row, row + 1, ... of the range."""
-    for r, rows in _bands(rank):
-        begin, end = max(rows.start, first), min(rows.stop, stop)
-        if begin < end:
-            yield begin - first, r, r + begin - rows.start, r + end - rows.start
-
-
-def _skew(cov, first, shape, steps):
-    """A view of the C-order matrix `cov` from its flat element `first` on,
-    with the given shape and steps in elements. numpy refuses, with
-    ValueError, a view that would reach past the covariance's buffer."""
-    return np.ndarray(shape, cov.dtype, cov, first * cov.itemsize,
-                      tuple(cov.itemsize * step for step in steps))
-
-
-def _cov_taps(cov, rank, first, stop, constants, rows, taps):
-    """Write the constants and taps of the packed column pairs
-    first <= p < stop of the covariance `cov`, scaled by 2 - delta_rs, into
-    `constants` (P,) and `taps` (P, I, M), through the t-major scratch
-    `rows` (P, M, I): with `taps` zero beforehand, they are pair_taps of
-    the rows of block_quadratics(cov) times 2 - delta_rs, bit for bit.
-
-    Tap t of channel 0 is C_rs[0, t + 1] + C_sr[0, t + 1], tap t of
-    channel 1 + k is C_rs[1 + t, 1 + t + k] + C_sr[1 + t, 1 + t + k],
-    halved at k = 0, and the constant is C_rs[0, 0]. These are the sums
-    block_quadratics makes, C_rs[i, j] + C_rs[j, i], since the covariance
-    is exactly symmetric: C_rs[j, i] = C_sr[i, j]. Each band run of pairs
-    (r, s) is read as strided views of the blocks (_skew), each tap row t
-    contiguous along k into rows[:, t], and the taps are one transposed
-    copy of `rows`. A row t < M - 1 is read for every k, so `rows` holds
-    other covariance entries past the pair's last tap, t + k >= M; the
-    copy leaves those taps as they were. The row t = M - 1 holds only
-    k = 0 and is read on its own, so no view reaches past the last block,
-    and the rest of it is never written: `rows` must start finite.
-    """
-    size = cov.shape[0]
-    window = size // rank
-    memory = window - 1
-    blocks = cov.reshape(rank, window, rank, window)
-    for row, r, lo, hi in _band_runs(rank, first, stop):
-        pairs = slice(row, row + hi - lo)
-        constants[pairs] = blocks[r, 0, lo:hi, 0]
-        np.add(blocks[r, 0, lo:hi, 1:], blocks[lo:hi, 0, r, 1:], out=rows[pairs, :, 0])
-        if memory > 1:
-            shape = (hi - lo, memory - 1, memory)
-            np.add(_skew(cov, (r * window + 1) * size + lo * window + 1, shape,
-                         (window, size + 1, 1)),
-                   _skew(cov, (lo * window + 1) * size + r * window + 1, shape,
-                         (window * size, size + 1, 1)),
-                   out=rows[pairs, :-1, 1:])
-        np.add(blocks[r, memory, lo:hi, memory], blocks[lo:hi, memory, r, memory],
-               out=rows[pairs, -1, 1])
-        # the pairs s > r of the run
-        off = slice(row + (lo == r), row + hi - lo)
-        constants[off] *= 2.0
-        rows[off] *= 2.0
-    rows[:, :, 1] *= 0.5
-    np.copyto(taps, rows.transpose(0, 2, 1),
-              where=np.add.outer(np.arange(window), np.arange(memory)) <= memory)
-
-
 def _walk_taps(state, walks, length, scratch):
     """Yield, for each walk, its pairs' constants and the (F, P, I) rfft at
-    `length` of their taps, read straight from the covariances by
-    _cov_taps. The taps are made TAP_ROWS pairs at a time, into a buffer
-    already zero-padded to `length`, and transformed four pairs at a time,
-    so the untransformed taps and one transform's output stay small. Every
-    walk's transforms are written into the flat complex `scratch`, which
-    the caller reads before it takes the next walk.
+    `length` of their taps. The taps are read TAP_ROWS pairs at a time from
+    the summed blocks of block_quadratics (_block_sums): halved on the
+    diagonal, scaled by 2 - delta_rs, and gathered by channel_taps into a
+    buffer already zero-padded to `length`. They are transformed four pairs
+    at a time, so the untransformed taps and one transform's output stay
+    small. Every walk's transforms are written into the flat complex
+    `scratch`, which the caller reads before it takes the next walk.
     """
-    window, memory = state.window, state.memory
+    window, memory, rank = state.window, state.memory, state.rank
     freqs = length // 2 + 1
     batch = min(TAP_ROWS, max(stop - first for walk in walks for _, first, stop in walk))
-    rows = np.zeros((batch, memory, window))
+    scales = _pair_scales(rank)
+    index, valid = channel_taps(memory)
+    sums = np.empty((batch, window, window))
     # the taps past each pair's last, and the padding, stay zero
     padded = np.zeros((batch, window, length))
     for walk in walks:
@@ -270,11 +213,16 @@ def _walk_taps(state, walks, length, scratch):
             freqs, constants.size, window)
         row = 0
         for d, first, stop in walk:
-            cov = np.ascontiguousarray(state.factors[d].cov, dtype=float)
+            blocks = np.reshape(state.factors[d].cov, (rank, window, rank, window))
             for lo in range(first, stop, TAP_ROWS):
                 count = min(TAP_ROWS, stop - lo)
-                _cov_taps(cov, state.rank, lo, lo + count, constants[row:row + count],
-                          rows[:count], padded[:count, :, :memory])
+                summed = _block_sums(blocks, lo, lo + count,
+                                     sums[:count]).reshape(count, -1)
+                summed[:, ::window + 1] *= 0.5
+                summed *= scales[lo:lo + count]
+                constants[row:row + count] = summed[:, 0]
+                np.copyto(padded[:count, :, :memory], np.take(summed, index, axis=1),
+                          where=valid)
                 # four pairs at a time, so that a transform's output is
                 # still in cache when it is copied into the walk's layout
                 for j in range(0, count, 4):

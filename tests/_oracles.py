@@ -371,25 +371,31 @@ def full_window_center_output(system, u):
 
 def full_window_predict(state, u, start=0):
     """predict's original-unit (locations, scales, dof) from the whole window
-    matrix of the normalized record: the locations from expected_output on
-    its columns from `start`, and the squared scales summed over blocks of
-    block_windows(M) of those columns, each with its own window_pairs and
-    column_products."""
+    matrix of the normalized record, over blocks of block_windows(M) of its
+    columns from `start`: each block's locations from expected_output, and
+    its squared scales from its own window_pairs and column_products. A
+    block takes one product of its window square with the D factors'
+    coefficients stacked, and its own projections, as the packed scorer
+    does, so that BLAS rounds the two alike at every rank and block width
+    (a product per factor is a matrix-vector one at R = 1, and a one-window
+    block's projections are dot products)."""
     record = state.normalization
     U = build_lagged_matrix(normalize_input(u, record), state.memory)[:, start:]
-    locations = expected_output(U, state.factor_means)
+    locations = np.empty(U.shape[1])
     scale_sq = np.full(U.shape[1], float(state.noise.rate / state.noise.shape))
     r, s = moment_pairs(state.rank)
     twice = np.where(r == s, 1.0, 2.0)[:, None]
+    coefs = np.vstack([block_quadratics(f.cov, state.rank, state.window) * twice
+                       for f in state.factors])
     size = block_windows(state.memory)
     for begin in range(0, U.shape[1], size):
         block = U[:, begin:begin + size]
-        uu = window_pairs(block)
-        for d, f in enumerate(state.factors):
-            coef = block_quadratics(f.cov, state.rank, state.window) * twice
+        locations[begin:begin + block.shape[1]] = expected_output(block, state.factor_means)
+        products = coefs @ window_pairs(block)
+        for d in range(state.order):
             h = column_products(block, state.factor_means, skip=d)
             scale_sq[begin:begin + block.shape[1]] += (
-                (h[r] * h[s]) * (coef @ uu)).sum(axis=0)
+                (h[r] * h[s]) * products[d * r.size:(d + 1) * r.size]).sum(axis=0)
     return (record.output_mean + record.output_std * locations,
             record.output_std * np.sqrt(scale_sq), 2.0 * float(state.noise.shape))
 

@@ -26,6 +26,7 @@ from bayesvolterra import (
     load_model,
     predict,
     save_csv,
+    save_model,
 )
 from bayesvolterra import cli
 from bayesvolterra.cli import _write_trace, main
@@ -72,6 +73,26 @@ def test_evaluate_reproduces_identify_metrics(pipeline):
     assert metrics["nll"] == pytest.approx(pipeline.metrics["nll"], rel=1e-12)
     assert metrics["final_rank"] == 2
     assert metrics["elbo"] == pytest.approx(pipeline.metrics["elbo"], rel=1e-12)
+
+
+def test_evaluate_reports_the_fit_of_a_model_saved_without_info_as_null(pipeline,
+                                                                      tmp_path):
+    # the fit's elbo, runtime, seed and stop reason come from the model's
+    # info, never from evaluate itself; with a saved info they are the fit's
+    model = tmp_path / "model"
+    save_model(load_model(pipeline.model), model)
+    assert not load_manifest(model).get("info")
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--model", str(model), "--data", str(pipeline.data),
+                 "--split", "800", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())
+    assert set(metrics) == METRIC_KEYS
+    for key in ("elbo", "runtime_s", "seed", "stop_reason"):
+        assert metrics[key] is None
+    assert metrics["rmse"] == pytest.approx(pipeline.metrics["rmse"], rel=1e-12)
+    assert main(["evaluate", "--model", str(pipeline.model), "--data", str(pipeline.data),
+                 "--split", "800", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["runtime_s"] == pipeline.metrics["runtime_s"]
 
 
 def test_identify_reports_why_the_fit_stopped(pipeline, tmp_path):

@@ -27,8 +27,10 @@ from bayesvolterra import (
     window_pairs,
 )
 from bayesvolterra.features import (
+    _block_sums,
     base_channels,
     block_windows,
+    channel_taps,
     column_blocks,
     hadamard,
 )
@@ -480,6 +482,45 @@ def test_block_quadratics_match_the_full_blocks():
                                    else block[i, j] + block[j, i])
     with pytest.raises(ValueError, match="covariance shape"):
         block_quadratics(cov, rank, window + 1)
+
+
+@pytest.mark.parametrize("rank, window", [(1, 1), (1, 4), (3, 2), (5, 6)])
+def test_block_sums_on_any_pair_run_equal_the_rows_of_block_quadratics(rank, window):
+    # bit for bit on every run of packed pairs first <= p < stop: the
+    # window pairs i < j of the summed blocks, and half their diagonal
+    rng = np.random.default_rng(rank * window)
+    cov = random_psd(rng, rank * window)
+    assert_array_equal(cov, cov.T)
+    blocks = cov.reshape(rank, window, rank, window)
+    coefs = block_quadratics(cov, rank, window)
+    i, j = np.triu_indices(window)
+    pairs = rank * (rank + 1) // 2
+    for first in range(pairs):
+        for stop in range(first + 1, pairs + 1):
+            sums = _block_sums(blocks, first, stop, np.empty((stop - first, window, window)))
+            assert_array_equal(sums, sums.transpose(0, 2, 1))
+            upper = sums[:, i, j]
+            upper[:, i == j] *= 0.5
+            assert_array_equal(upper, coefs[first:stop])
+
+
+@pytest.mark.parametrize("memory", [1, 2, 5])
+def test_channel_taps_gather_the_window_pairs_as_pair_taps(memory):
+    # each window pair but (0, 0) of an I x I block is the tap pair_taps
+    # gives it, once, and every other tap is zero
+    rng = np.random.default_rng(memory)
+    window = memory + 1
+    i, j = np.triu_indices(window)
+    coefs = rng.standard_normal((3, i.size))
+    block = np.zeros((3, window, window))
+    block[:, i, j] = coefs
+    index, valid = channel_taps(memory)
+    assert index.shape == valid.shape == (window, memory)
+    assert_array_equal(np.sort(index[valid]), (i * window + j)[1:])
+    taps = np.where(valid, np.take(block.reshape(3, -1), index, axis=1), 0.0)
+    constants, want = pair_taps(coefs, window)
+    assert_array_equal(block[:, 0, 0], constants)
+    assert_array_equal(taps, want)
 
 
 def test_second_moments_allocate_only_their_output_beyond_small_scratch():

@@ -23,7 +23,13 @@ from bayesvolterra import (
     rmse,
 )
 from bayesvolterra import prediction
-from bayesvolterra.features import BLOCK_BYTES, SCORE_BLOCK, block_windows
+from bayesvolterra.features import (
+    BLOCK_BYTES,
+    SCORE_BLOCK,
+    _block_sums,
+    block_windows,
+    channel_taps,
+)
 
 from _oracles import (
     full_window_predict,
@@ -252,12 +258,24 @@ def scoring_state(seed, order=3, memory=8, rank=3):
     return state
 
 
-@pytest.mark.parametrize("start", [0, 5, block_windows(8) + 190])
-def test_predict_and_evaluate_equal_the_full_window_formulas(start):
-    # at least three lag blocks after `start`, bit for bit
-    state = scoring_state(10)
+@pytest.mark.parametrize("start, order, memory, rank, tail", [
+    pytest.param(0, 3, 8, 3, 77, id="0"),
+    pytest.param(5, 3, 8, 3, 77, id="5"),
+    pytest.param(block_windows(8) + 190, 3, 8, 3, 77, id=str(block_windows(8) + 190)),
+    pytest.param(0, 2, 10, 1, 77, id="rank-1-order-2"),
+    pytest.param(0, 3, 20, 1, 77, id="rank-1-order-3"),
+    pytest.param(5, 3, 8, 3, 3, id="last-block-of-3"),
+    pytest.param(0, 2, 5, 1, 1, id="last-block-of-1"),
+])
+def test_predict_and_evaluate_equal_the_full_window_formulas(start, order, memory, rank,
+                                                             tail):
+    # three lag blocks after `start` and `tail` windows more, bit for bit;
+    # at R = 1 a product per factor would be a matrix-vector product, and
+    # a last block of one window takes its projections as dot products
+    state = scoring_state(10, order=order, memory=memory, rank=rank)
     rng = np.random.default_rng(10)
-    n = start + 3 * block_windows(state.memory) + 77
+    n = start + 3 * block_windows(memory) + tail
+    assert not prediction._fft_scoring(memory, rank, n - start)
     u = rng.uniform(-1.0, 3.0, n)
     y = rng.standard_normal(n)
     locations, scales, dof = predict(state, u, start=start)
@@ -620,6 +638,49 @@ def reference_taps(state, d, length):
     return constants, taps, np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
 
 
+def walk_taps_equal_the_reference(state, length, walk_pairs):
+    """Check _walk_taps' constants and spectra against reference_taps, bit
+    for bit, with walks of `walk_pairs` pairs; check too that the summed
+    blocks (_block_sums) of every three pairs, halved on the diagonal,
+    scaled and gathered by channel_taps, are those pairs' taps."""
+    order, rank, window = state.order, state.rank, state.window
+    walks = prediction._walks(state)
+    scratch = np.empty((length // 2 + 1) * walk_pairs * window, dtype=complex)
+    reference = [reference_taps(state, d, length) for d in range(order)]
+    index, valid = channel_taps(state.memory)
+    seen = 0
+    for walk, (constants, spectra) in zip(walks, prediction._walk_taps(state, walks, length,
+                                                                      scratch)):
+        row = 0
+        for d, first, stop in walk:
+            want_constants, want_taps, want_spectra = reference[d]
+            rows = slice(row, row + stop - first)
+            assert_array_equal(constants[rows], want_constants[first:stop])
+            assert_array_equal(spectra[:, rows], want_spectra[:, first:stop])
+            blocks = np.reshape(state.factors[d].cov, (rank, window, rank, window))
+            for lo in range(first, stop, 3):
+                hi = min(lo + 3, stop)
+                sums = _block_sums(blocks, lo, hi, np.empty((hi - lo, window, window)))
+                sums[:, range(window), range(window)] *= 0.5
+                sums *= prediction._pair_scales(rank)[lo:hi, :, None]
+                taps = np.where(valid, np.take(sums.reshape(hi - lo, -1), index, axis=1),
+                                0.0)
+                assert_array_equal(sums[:, 0, 0], want_constants[lo:hi])
+                assert_array_equal(taps, want_taps[lo:hi])
+            row += stop - first
+            seen += stop - first
+    assert seen == order * rank * (rank + 1) // 2
+
+
+def exactly_symmetric(state):
+    """The state with each covariance made exactly symmetric, as every
+    covariance the fit makes or load_model accepts is."""
+    for f in state.factors:
+        f.cov = 0.5 * (f.cov + f.cov.T)
+        assert_array_equal(f.cov, f.cov.T)
+    return state
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("rank", [1, 2, 5, 7])
 @pytest.mark.parametrize("memory", [1, 2, 9, 30])
@@ -630,74 +691,34 @@ def test_taps_read_from_the_covariance_equal_the_coefficient_taps(order, rank, m
     # bit for bit, in chunks of 3 or 6 pairs that start and end inside a
     # band (6 pairs are transformed as 4 and 2) and walks of 4 or 9 pairs
     # that end inside a factor or span two, up to the last pair (R - 1, R - 1)
-    state = scoring_state(40 + memory, order=order, memory=memory, rank=rank)
-    # exactly symmetric, as every covariance the fit makes
-    for f in state.factors:
-        f.cov = 0.5 * (f.cov + f.cov.T)
-        assert_array_equal(f.cov, f.cov.T)
+    state = exactly_symmetric(scoring_state(40 + memory, order=order, memory=memory,
+                                            rank=rank))
     length = prediction._fft_length(memory)
     monkeypatch.setattr(prediction, "TAP_ROWS", tap_rows)
     monkeypatch.setattr(prediction, "TAP_BYTES",
                         walk_pairs * 16 * (memory + 1) * (length // 2 + 1))
-    walks = prediction._walks(state)
-    pairs = rank * (rank + 1) // 2
-    scratch = np.empty((length // 2 + 1) * walk_pairs * state.window, dtype=complex)
-    reference = [reference_taps(state, d, length) for d in range(order)]
-    seen = 0
-    for walk, (constants, spectra) in zip(walks, prediction._walk_taps(state, walks, length,
-                                                                      scratch)):
-        row = 0
-        for d, first, stop in walk:
-            want_constants, want_taps, want_spectra = reference[d]
-            rows = slice(row, row + stop - first)
-            assert_array_equal(constants[rows], want_constants[first:stop])
-            assert_array_equal(spectra[:, rows], want_spectra[:, first:stop])
-            for lo in range(first, stop, 3):
-                hi = min(lo + 3, stop)
-                got_constants = np.empty(hi - lo)
-                got_taps = np.zeros((hi - lo, state.window, memory))
-                prediction._cov_taps(state.factors[d].cov, rank, lo, hi, got_constants,
-                                     np.zeros((hi - lo, memory, state.window)), got_taps)
-                assert_array_equal(got_constants, want_constants[lo:hi])
-                assert_array_equal(got_taps, want_taps[lo:hi])
-            row += stop - first
-            seen += stop - first
-    assert seen == order * pairs
+    walk_taps_equal_the_reference(state, length, walk_pairs)
 
 
-def test_tap_views_stay_inside_the_covariance(monkeypatch):
-    # every strided view of a covariance, the last pair's among them, ends
-    # inside its buffer; a view that would not is refused
-    order, rank, memory = 2, 4, 9
-    state = scoring_state(41, order=order, memory=memory, rank=rank)
+@pytest.mark.parametrize("order, rank, memory", [(1, 2, 9), (3, 5, 30)])
+def test_taps_of_a_fortran_order_covariance_equal_the_coefficient_taps(order, rank,
+                                                                        memory,
+                                                                        monkeypatch):
+    # a covariance in Fortran order gives the taps and the FFT form's
+    # scores of the same covariance in C order, bit for bit
+    state = exactly_symmetric(scoring_state(43, order=order, memory=memory, rank=rank))
+    u = np.random.default_rng(43).uniform(-1.0, 3.0, prediction.FFT_WINDOWS + 50)
+    monkeypatch.setattr(prediction, "_fft_scoring", lambda memory, rank, windows: True)
+    expected = predict(state, u)
+    for f in state.factors:
+        f.cov = np.asfortranarray(f.cov)
+        assert not f.cov.flags.c_contiguous
+    for got, want in zip(predict(state, u), expected):
+        assert_array_equal(got, want)
     length = prediction._fft_length(memory)
-    size = rank * (memory + 1)
-    views = []
-    skew = prediction._skew
-
-    def recording(cov, first, shape, steps):
-        views.append((first, shape, steps))
-        assert cov.size == size * size
-        return skew(cov, first, shape, steps)
-
-    monkeypatch.setattr(prediction, "_skew", recording)
     monkeypatch.setattr(prediction, "TAP_ROWS", 3)
-    walks = prediction._walks(state)
-    scratch = np.empty((length // 2 + 1) * order * rank * (rank + 1) // 2 * (memory + 1),
-                       dtype=complex)
-    for _ in prediction._walk_taps(state, walks, length, scratch):
-        pass
-    assert views
-    ends = [first + sum((n - 1) * step for n, step in zip(shape, steps))
-            for first, shape, steps in views]
-    assert all(0 <= first for first, _, _ in views)
-    assert max(ends) < size * size
-    # the last block's rows start at element ((R - 1) I + 1)(R I) + (R - 1) I + 1
-    last = ((rank - 1) * (memory + 1) + 1) * size + (rank - 1) * (memory + 1) + 1
-    assert sum(first == last for first, _, _ in views) == order * 2
-    cov = state.factors[0].cov
-    with pytest.raises(ValueError):
-        skew(cov, last, (1, memory, memory), (memory + 1, size + 1, 1))
+    monkeypatch.setattr(prediction, "TAP_BYTES", 4 * 16 * (memory + 1) * (length // 2 + 1))
+    walk_taps_equal_the_reference(state, length, 4)
 
 
 def test_fft_predict_makes_no_coefficient_array(monkeypatch):
