@@ -27,9 +27,12 @@ block_quadratics and the predictive variance's filter taps are taken
 from those sums. Every symmetric pair array, the window square, a
 second-moment stack and a covariance's coefficients, is packed by the one
 rule of _bands, and an elementwise product of packed stacks is the packed
-product. Each reduction over samples has one implementation, a dense
-product or sum; a fit repeats bit for bit at a fixed seed and BLAS thread
-count.
+product. The index arrays of that layout, the pairs, their flat index into
+an n x n block, the diagonal rows and the symmetric row index, are built
+once per size by _pair_layout and cached; they are read-only, shared by
+every caller, and must never be written. Each reduction over samples has
+one implementation, a dense product or sum; a fit repeats bit for bit at
+a fixed seed and BLAS thread count.
 
 The kernels make no gathers of full size: each walks its pairs one band
 of _bands at a time, so beyond its output second_moments holds only
@@ -49,7 +52,9 @@ from the summed blocks by that index and convolves the two.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,10 +251,39 @@ def _bands(n):
         yield a, slice(start, stop)
 
 
+class PairLayout(NamedTuple):
+    """The index arrays of the packed layout of n items (_bands), all
+    read-only: the pairs (i, j) = np.triu_indices(n), one per packed row;
+    their flat index i * n + j into an n x n block; the diagonal rows, where
+    i == j; and the symmetric (n, n) index whose entries (i, j) and (j, i)
+    both hold the row of the pair (i, j)."""
+
+    i: np.ndarray
+    j: np.ndarray
+    flat: np.ndarray
+    diagonal: np.ndarray
+    symmetric: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_layout(n):
+    """The PairLayout of n items, built once per size and then shared: a
+    sweep reads it for its rank and window several times per factor."""
+    i, j = np.triu_indices(n)
+    symmetric = np.empty((n, n), dtype=np.intp)
+    symmetric[i, j] = symmetric[j, i] = np.arange(i.size)
+    layout = PairLayout(i, j, i * n + j, np.flatnonzero(i == j), symmetric)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
 def moment_pairs(rank):
     """The column pairs (r, s) of a packed moment stack, one per row, in the
-    layout of _bands: np.triu_indices(rank)."""
-    return np.triu_indices(rank)
+    layout of _bands: np.triu_indices(rank). The two arrays are cached and
+    read-only (_pair_layout); a caller must not write them."""
+    layout = _pair_layout(rank)
+    return layout.i, layout.j
 
 
 def kept_pairs(keep, rank):
@@ -302,11 +336,20 @@ def window_pairs(U, out=None):
 def _band_runs(rank, first, stop):
     """Yield (row, r, lo, hi) for the packed column pairs first <= p < stop
     of a rank-R stack, band by band of _bands: the pairs (r, s) for
-    lo <= s < hi, which are the rows row, row + 1, ... of the range."""
-    for r, rows in _bands(rank):
-        begin, end = max(rows.start, first), min(rows.stop, stop)
-        if begin < end:
-            yield begin - first, r, r + begin - rows.start, r + end - rows.start
+    lo <= s < hi, which are the rows row, row + 1, ... of the range. The
+    walk starts at the band that holds `first` and ends after the one that
+    holds stop - 1."""
+    if first >= stop:
+        return
+    layout = _pair_layout(rank)
+    r = int(layout.i[first])
+    # the first row of band r: the pair (r, s) sits s - r rows into it
+    begin = first - (int(layout.j[first]) - r)
+    while begin < stop:
+        end = begin + rank - r
+        lo, hi = max(begin, first), min(end, stop)
+        yield lo - first, r, r + lo - begin, r + hi - begin
+        begin, r = end, r + 1
 
 
 def _block_sums(blocks, first, stop, out):
@@ -344,14 +387,14 @@ def block_quadratics(cov, rank, window, out=None):
         raise ValueError(f"covariance shape {cov.shape} does not match "
                          f"rank {rank} and window {window}")
     blocks = cov.reshape(rank, window, rank, window)
-    i, j = np.triu_indices(window)
-    out = _output(out, (rank * (rank + 1) // 2, i.size))
+    layout = _pair_layout(window)
+    out = _output(out, (rank * (rank + 1) // 2, layout.flat.size))
     sums = np.empty((rank, window, window))
     for r, rows in _bands(rank):
         band = _block_sums(blocks, rows.start, rows.stop, sums[:rank - r])
-        np.take(band.reshape(rank - r, -1), i * window + j, axis=1, out=out[rows])
+        np.take(band.reshape(rank - r, -1), layout.flat, axis=1, out=out[rows])
     # the diagonal pairs added C_rs[i, i] to itself; halving is exact
-    out[:, i == j] *= 0.5
+    out[:, layout.diagonal] *= 0.5
     return out
 
 
@@ -415,9 +458,7 @@ def expected_gram(U, weights, uu):
     _check_pairs(U, uu)
     flat = weights @ uu.T
     # symmetric[i, j] is the row of window_pairs holding the pair (i, j)
-    i, j = np.triu_indices(window)
-    symmetric = np.empty((window, window), dtype=np.intp)
-    symmetric[i, j] = symmetric[j, i] = np.arange(i.size)
+    symmetric = _pair_layout(window).symmetric
     gram = np.empty((rank, window, rank, window))
     for r, rows in _bands(rank):
         band = flat[rows][:, symmetric]
@@ -444,10 +485,11 @@ def expected_residual(U, y, means, product):
     yhat = expected_output(U, means)
     if y.shape != yhat.shape:
         raise ValueError(f"y has shape {y.shape}, expected {yhat.shape}")
-    r, s = moment_pairs(np.shape(means[0])[1])
+    layout = _pair_layout(np.shape(means[0])[1])
+    pairs = layout.i.size
     product = np.asarray(product, dtype=float)
-    if product.shape != (r.size, yhat.size):
+    if product.shape != (pairs, yhat.size):
         raise ValueError(f"product shape {product.shape} is not a packed stack "
-                         f"of {r.size} rows and {yhat.size} samples")
-    quadratic = 2.0 * float(np.sum(product)) - float(np.sum(product[r == s]))
+                         f"of {pairs} rows and {yhat.size} samples")
+    quadratic = 2.0 * float(np.sum(product)) - float(np.sum(product[layout.diagonal]))
     return float(y @ y - 2.0 * float(y @ yhat) + quadratic)

@@ -38,6 +38,7 @@ from scipy.special import digamma, gammaln
 
 from .errors import NumericFailure, checked
 from .features import (
+    _pair_layout,
     column_products,
     expected_gram,
     expected_residual,
@@ -166,12 +167,16 @@ def _solve_spd(matrix, rhs, label):
 
 def _mirror_lower(matrix):
     """Copy the strict lower triangle onto the upper one, in place, in bands
-    of 64 rows, so no index array grows with the square of the size."""
+    of 64 rows, so no index array grows with the square of the size. The
+    diagonal blocks go through the cached upper-triangle pairs of their
+    size (features._pair_layout), which also copy the diagonal onto
+    itself."""
     size = matrix.shape[0]
     for start in range(0, size, 64):
         stop = min(start + 64, size)
         diagonal = matrix[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
+        layout = _pair_layout(stop - start)
+        upper = layout.i, layout.j
         diagonal[upper] = diagonal.T[upper]
         matrix[start:stop, stop:] = matrix[stop:, start:stop].T
 

@@ -170,6 +170,8 @@ def prior_precision(state):
 
     A length R*I vector with entry r*I + i equal to E[lambda_r] * E[delta_i],
     matching the row-fast vec layout; the off-diagonal entries are zero.
+    It is the flattened outer product, one multiply per entry, as np.kron
+    would take it without building its index arrays.
     """
     col = np.asarray(state.col_prec.mean, dtype=float)
-    return np.kron(col, state.row_prec_means())
+    return np.multiply.outer(col, state.row_prec_means()).ravel()

@@ -12,10 +12,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bayesvolterra.cli  # noqa: F401  (loads every module the tracer wraps)
-from bayesvolterra import features
+from bayesvolterra import features, inference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +63,25 @@ def test_every_per_layer_metric_maps_to_a_span():
 def test_work_counters_find_their_arguments(function, parameters):
     # _second_moment_work and _gram_work read these arguments by name
     assert parameters <= set(inspect.signature(function).parameters)
+
+
+def test_the_spd_solve_goes_through_the_traced_cholesky_wrappers(monkeypatch):
+    # the tracer times inference.cho_factor and inference.cho_solve; a
+    # solve that called LAPACK around them would read zero in both
+    calls = {"cho_factor": 0, "cho_solve": 0}
+    for name in calls:
+        wrapped = getattr(inference, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped, **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, counted)
+    rng = np.random.default_rng(0)
+    root = rng.standard_normal((6, 8))
+    matrix = root @ root.T
+    rhs = rng.standard_normal(6)
+    expected = np.linalg.solve(matrix, rhs)
+    _, solution, _ = inference._solve_spd(matrix, rhs, "test")
+    assert calls == {"cho_factor": 1, "cho_solve": 1}
+    np.testing.assert_allclose(solution, expected, rtol=1e-10)

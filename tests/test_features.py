@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bayesvolterra import (
+    FitConfig,
     block_quadratics,
     build_lagged_matrix,
     column_products,
@@ -19,15 +20,21 @@ from bayesvolterra import (
     expected_gram,
     expected_output,
     expected_residual,
+    identify,
     kept_pairs,
     khatri_rao,
     lag_blocks,
     moment_pairs,
+    random_cpd_system,
     second_moments,
+    synthesize,
     window_pairs,
 )
 from bayesvolterra.features import (
+    _band_runs,
+    _bands,
     _block_sums,
+    _pair_layout,
     base_channels,
     block_windows,
     channel_taps,
@@ -392,6 +399,59 @@ def test_moment_pairs_are_the_upper_triangle():
     assert list(zip(r.tolist(), s.tolist())) == [
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
         (2, 2), (2, 3), (3, 3)]
+
+
+def test_pair_layouts_are_built_once_per_size_and_read_only(monkeypatch):
+    # a fit at the command line's shape (D=2, M=10, R=4, N=1000, 15
+    # sweeps) reads every packed-pair layout from the cache: a second fit
+    # of the same shape builds none
+    rng = np.random.default_rng(30)
+    u = rng.uniform(0.0, 1.0, 1000)
+    record = synthesize(random_cpd_system(2, 10, 2, rng, noise_std=0.05), u, rng=rng)
+    U = build_lagged_matrix(u, 10)
+    config = FitConfig(order=2, rank=4, max_iter=15, elbo_rel_tol=1e-300)
+    calls = []
+    triu_indices = np.triu_indices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return triu_indices(*args, **kwargs)
+
+    monkeypatch.setattr(np, "triu_indices", counted)
+    identify(U, record.y, config)
+    calls.clear()
+    _, trace = identify(U, record.y, config)
+    assert len(trace) == 15
+    assert calls == []
+    monkeypatch.undo()
+    for n in (1, 4, 11, 44):
+        layout = _pair_layout(n)
+        i, j = np.triu_indices(n)
+        assert_array_equal(layout.i, i)
+        assert_array_equal(layout.j, j)
+        assert_array_equal(layout.flat, i * n + j)
+        assert_array_equal(layout.diagonal, np.flatnonzero(i == j))
+        assert_array_equal(layout.symmetric[i, j], np.arange(i.size))
+        assert_array_equal(layout.symmetric, layout.symmetric.T)
+        assert moment_pairs(n)[0] is layout.i
+        for array in layout:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 11])
+def test_band_runs_start_and_end_at_the_bands_of_the_range(rank):
+    # the runs of every range equal those of a walk over all bands
+    pairs = rank * (rank + 1) // 2
+    for first in range(pairs + 1):
+        for stop in range(first, pairs + 1):
+            walk = []
+            for r, rows in _bands(rank):
+                begin, end = max(rows.start, first), min(rows.stop, stop)
+                if begin < end:
+                    walk.append((begin - first, r, r + begin - rows.start,
+                                 r + end - rows.start))
+            assert list(_band_runs(rank, first, stop)) == walk
 
 
 def test_packed_kernels_match_the_full_stack_kernels():

@@ -122,17 +122,22 @@ def test_prior_precision_examples():
 
 
 def test_prior_precision_layout_oracle():
+    # a state with drawn row precisions, and one that holds them fixed
     rng = np.random.default_rng(2)
-    state = init_state(2, 3, 3, seed=0)
-    col = rng.uniform(0.5, 2.0, 3)
-    row = rng.uniform(0.5, 2.0, 4)
-    state.col_prec = GammaPosterior(col, np.ones(3))
-    state.row_prec = GammaPosterior(row, np.ones(4))
-    precision = prior_precision(state)
-    assert precision.shape == (12,)
-    for r in range(3):
-        for i in range(4):
-            assert_allclose(precision[r * 4 + i], col[r] * row[i], rtol=1e-14)
+    for row_prec_fixed in (False, True):
+        state = init_state(2, 3, 3, seed=0, row_prec_fixed=row_prec_fixed)
+        col = rng.uniform(0.5, 2.0, 3)
+        row = rng.uniform(0.5, 2.0, 4)
+        state.col_prec = GammaPosterior(col, np.ones(3))
+        state.row_prec = GammaPosterior(row, np.ones(4))
+        precision = prior_precision(state)
+        assert precision.shape == (12,)
+        used = np.ones(4) if row_prec_fixed else row
+        for r in range(3):
+            for i in range(4):
+                assert_allclose(precision[r * 4 + i], col[r] * used[i], rtol=1e-14)
+        # bit for bit the Kronecker product of the expected precisions
+        assert_array_equal(precision, np.kron(col, used))
 
 
 def test_fixed_row_precisions_act_as_ones():
