@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -86,7 +87,10 @@ def _parse_split(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared:
+    parse_args keeps no state between calls, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="bayesvolterra",
         description="Bayesian identification of truncated Volterra systems "
@@ -189,17 +193,28 @@ def _write_trace(path, trace):
               [trace.iterations, trace.elbo, trace.rank, trace.noise_mean, trace.wall_s])
 
 
+def _score_start(n, split, skip):
+    """The first scored sample of an n-row record: the estimation prefix
+    that `split` sets, none without it, plus `skip`. A range with no
+    samples is refused, before any model is read or fitted."""
+    start = (split_count(n, split) if split is not None else 0) + skip
+    if start >= n:
+        raise ValueError(f"nothing to score: --split {split} and --skip-warmup {skip} "
+                         f"start at sample {start} of {n}")
+    return start
+
+
 def _cmd_identify(args):
     dataset = load_csv(args.data)
-    n = len(dataset)
-    n_est = split_count(n, args.split) if args.split is not None else n
+    start = _score_start(len(dataset), args.split, args.skip_warmup)
+    # the estimation record ends where the scored warm-up starts, and
+    # without --split it is the whole record
+    n_est = start - args.skip_warmup if args.split is not None else len(dataset)
     u_est, y_est = dataset.u[:n_est], dataset.y[:n_est]
     record = compute_normalization(u_est, y_est)
     U_est = build_lagged_matrix(normalize_input(u_est, record), args.memory)
     y_model = standardize_output(y_est, record)
     priors = args.priors if args.priors is not None else PriorConfig()
-    # without --split the estimation record is the whole record
-    start = (n_est if args.split is not None else 0) + args.skip_warmup
 
     runs = []  # one row of scalars per seed
     best = None
@@ -262,12 +277,11 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
+    dataset = load_csv(args.data)
+    start = _score_start(len(dataset), args.split, args.skip_warmup)
     state = load_model(args.model)
     info = load_manifest(args.model).get("info", {})
-    dataset = load_csv(args.data)
-    start = split_count(len(dataset), args.split) if args.split is not None else 0
-    report = prediction.evaluate(state, dataset.u, dataset.y,
-                                 start=start + args.skip_warmup)
+    report = prediction.evaluate(state, dataset.u, dataset.y, start=start)
     metrics = {
         "rmse": report.rmse,
         "nll": report.nll,
@@ -307,8 +321,7 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BayesVolterraError, ValueError, OSError) as err:

@@ -64,14 +64,16 @@ def load_csv(path):
 
     Every row must hold two finite numbers; cells may be quoted or padded
     with spaces, and lines may end in \\n, \\r\\n or \\r. An empty or
-    whitespace-only line is an error. The header goes through csv.reader
+    whitespace-only line is an error. A UTF-8 byte-order mark, which
+    spreadsheets write, is skipped. The header goes through csv.reader
     and the data rows through one streaming np.loadtxt pass, checked for
     finiteness once on the array. Only when that pass fails is the file
     read again row by row (_read_rows), so that errors cite the one-based
     line number of the first offending row.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    # the decoder skips the mark again after the seek(0) below
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         header = next(csv.reader(handle), None)
         if header is None:
             raise DataFormatError(f"{path}:1: file is empty")

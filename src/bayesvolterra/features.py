@@ -23,16 +23,17 @@ fit; block_quadratics turns a factor covariance into the coefficients
 that map it to the quadratic forms u_n' C_rs u_n, which the predictive
 variance uses as well. A covariance is read by one routine, _block_sums,
 which writes the summed blocks C_rs + C_sr of a run of packed pairs; both
-block_quadratics and the predictive variance's filter taps are taken
-from those sums. Every symmetric pair array, the window square, a
-second-moment stack and a covariance's coefficients, is packed by the one
-rule of _bands, and an elementwise product of packed stacks is the packed
-product. The index arrays of that layout, the pairs, their flat index into
-an n x n block, the diagonal rows and the symmetric row index, are built
-once per size by _pair_layout and cached; they are read-only, shared by
-every caller, and must never be written. Each reduction over samples has
-one implementation, a dense product or sum; a fit repeats bit for bit at
-a fixed seed and BLAS thread count.
+block_quadratics and the filter taps (tap_spectra) are taken from those
+sums. Every symmetric pair array, the window square, a second-moment
+stack, a covariance's coefficients and the pair weights h_r h_s
+(window_pairs, weigh_pairs), is packed by the one rule of _bands, read or
+written in this module alone, and an elementwise product of packed
+stacks is the packed product. The index arrays of that layout, the
+pairs, their flat index into an n x n block, the diagonal rows and the
+symmetric row index, are built once per size by _pair_layout and cached;
+they are read-only, shared by every caller, and must never be written.
+Each reduction over samples has one implementation, a dense product or
+sum; a fit repeats bit for bit at a fixed seed and BLAS thread count.
 
 The kernels make no gathers of full size: each walks its pairs one band
 of _bands at a time, so beyond its output second_moments holds only
@@ -46,8 +47,10 @@ c: window n is (1, x(n), ..., x(n - M + 1)), so its pair (0, b) is
 x(n - (b - 1)) and a pair (a >= 1, b) is z_{b-a}(n - (a - 1)).
 base_channels builds the channels of a stretch of the record, as
 lag_blocks builds its windows, and channel_taps states where each tap
-sits in a block of window pairs; the predictive variance moves the taps
-from the summed blocks by that index and convolves the two.
+sits in a block of window pairs. The filter bank convolves the two by
+overlap-save FFT: tap_spectra transforms the taps of runs of packed pairs,
+moved from the summed blocks by that index, and channel_spectra the
+channels' segments; the predictive variance takes their products.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import checked
 from .tensor_ops import check_factors, khatri_rao
@@ -66,6 +70,9 @@ from .tensor_ops import check_factors, khatri_rao
 # block's window square, up to which blocks grow to SCORE_BLOCK * 2^k, k <= 3
 SCORE_BLOCK = 512
 BLOCK_BYTES = 4 << 20
+# the filter bank: the pairs whose taps, or the channels whose segments,
+# are transformed at a time
+TAP_ROWS = 16
 
 
 def _check_signal(u, memory):
@@ -176,6 +183,80 @@ def channel_taps(memory):
     return np.where(valid, i * window + j, 0), valid
 
 
+def fft_length(memory):
+    """The overlap-save segment length: the least power of two >= 2M."""
+    return 1 << (2 * memory - 1).bit_length()
+
+
+def pair_scales(rank):
+    """The (R(R+1)/2, 1) factors 2 - delta_rs of the packed column pairs."""
+    r, s = moment_pairs(rank)
+    return np.where(r == s, 1.0, 2.0)[:, None]
+
+
+def tap_spectra(covs, rank, memory, walks, length, scratch):
+    """Yield, for each walk, its pairs' constants and the (F, P, I) rfft at
+    `length` of their taps, the filter bank of (2 - delta_rs) u_n' C_rs u_n
+    for the exactly symmetric covariances `covs`; a walk is a list of
+    (d, first, stop) for the packed pairs first <= p < stop of covs[d].
+
+    The taps are read TAP_ROWS pairs at a time from the summed blocks
+    (_block_sums), halved on the diagonal, scaled by pair_scales and
+    gathered by channel_taps into a buffer zero-padded to `length`; a
+    pair's constant is its (0, 0) entry. They are transformed four pairs at
+    a time, so the untransformed taps and one transform's output stay
+    small, into the flat complex `scratch`, which the caller reads before
+    it takes the next walk.
+    """
+    window = memory + 1
+    batch = min(TAP_ROWS, max(stop - first for walk in walks for _, first, stop in walk))
+    scales = pair_scales(rank)
+    index, valid = channel_taps(memory)
+    sums = np.empty((batch, window, window))
+    # the taps past each pair's last, and the padding, stay zero
+    padded = np.zeros((batch, window, length))
+    for walk in walks:
+        constants = np.empty(sum(stop - first for _, first, stop in walk))
+        spectra = scratch[:(length // 2 + 1) * constants.size * window].reshape(
+            -1, constants.size, window)
+        row = 0
+        for d, first, stop in walk:
+            blocks = np.reshape(covs[d], (rank, window, rank, window))
+            for lo in range(first, stop, TAP_ROWS):
+                count = min(TAP_ROWS, stop - lo)
+                summed = _block_sums(blocks, lo, lo + count,
+                                     sums[:count]).reshape(count, -1)
+                summed[:, ::window + 1] *= 0.5
+                summed *= scales[lo:lo + count]
+                constants[row:row + count] = summed[:, 0]
+                np.copyto(padded[:count, :, :memory], np.take(summed, index, axis=1),
+                          where=valid)
+                # four pairs at a time, so that a transform's output is
+                # still in cache when it is copied into the walk's layout
+                for j in range(0, count, 4):
+                    k = min(j + 4, count)
+                    spectra[:, row + j:row + k] = np.fft.rfft(
+                        padded[j:k], axis=-1).transpose(2, 0, 1)
+                row += count
+        yield constants, spectra
+
+
+def channel_spectra(signal, memory, begin, size, length):
+    """The (F, I, S) rfft at `length` of the S overlap-save segments of the
+    base channels that cover the windows begin, ..., begin + size - 1,
+    TAP_ROWS channels at a time. Segment s holds `length` channel samples
+    and starts hop = length - M + 1 windows after segment s - 1; the last
+    hop samples of a filtered segment are its windows."""
+    hop = length - memory + 1
+    channels = base_channels(signal, memory, begin, begin + -(-size // hop) * hop)
+    segments = sliding_window_view(channels, length, axis=1)[:, ::hop]
+    spectra = np.empty((length // 2 + 1,) + segments.shape[:2], dtype=complex)
+    for first in range(0, segments.shape[0], TAP_ROWS):
+        rows = slice(first, first + TAP_ROWS)
+        spectra[:, rows] = np.fft.rfft(segments[rows], axis=-1).transpose(2, 0, 1)
+    return spectra
+
+
 def column_blocks(U):
     """Yield (offset, U[:, offset:offset + B]) for the columns of the
     window matrix U, B = block_windows(M) at a time for its I = M + 1 rows:
@@ -237,18 +318,18 @@ def design_matrix(U, means, mode):
     return khatri_rao(column_products(U, means, skip=mode), U)
 
 
+@functools.lru_cache(maxsize=32)
 def _bands(n):
-    """Yield (a, rows) for a < n: the band of packed rows holding the pairs
-    (a, b) for b = a, a + 1, ..., n - 1, in that order.
+    """The (a, rows) for a < n, built once per size: the band of packed
+    rows holding the pairs (a, b) for b = a, a + 1, ..., n - 1, in order.
 
     This is the one packed layout of a symmetric pair array: the n(n+1)/2
     pairs a <= b of n items, one per row, in np.triu_indices(n) order (a
-    slow), so band a is the n - a rows after the bands 0 ... a - 1.
+    slow), so band a is the n - a rows after the a n - a(a-1)/2 of the
+    bands 0 ... a - 1.
     """
-    stop = 0
-    for a in range(n):
-        start, stop = stop, stop + n - a
-        yield a, slice(start, stop)
+    starts = [a * n - a * (a - 1) // 2 for a in range(n + 1)]
+    return tuple((a, slice(starts[a], starts[a + 1])) for a in range(n))
 
 
 class PairLayout(NamedTuple):
@@ -314,42 +395,53 @@ def _output(out, shape):
     return out
 
 
-def window_pairs(U, out=None):
+def window_pairs(U, out=None, first=0, stop=None):
     """The packed square of the rows of any (I, N) matrix: the (I(I+1)/2, N)
-    products U[i] * U[j] for i <= j, in the layout of _bands.
+    products U[i] * U[j] for i <= j, in the layout of _bands, or only its
+    rows first <= p < stop.
 
     These are the rows of khatri_rao(U, U) with i <= j; the rest of that
     square repeats them. Each entry is one product, written in place, into
-    `out` when that is given. Of the window matrix it is the packed window
-    square u_i u_j.
+    `out` when that is given, one np.multiply per band run (_band_runs).
+    Of the window matrix it is the packed window square u_i u_j; of a
+    cofactor stack, the pair weights h_r h_s.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise ValueError(f"window matrix has shape {U.shape}, expected a matrix")
-    window = U.shape[0]
-    out = _output(out, (window * (window + 1) // 2, U.shape[1]))
-    for i, rows in _bands(window):
-        np.multiply(U[i], U[i:], out=out[rows])
+    squares = U.shape[0] * (U.shape[0] + 1) // 2
+    stop = squares if stop is None else stop
+    if not 0 <= first <= stop <= squares:
+        raise ValueError(f"rows {first}:{stop} are not within the {squares} packed rows")
+    out = _output(out, (stop - first, U.shape[1]))
+    for row, i, lo, hi in _band_runs(U.shape[0], first, stop):
+        np.multiply(U[i], U[lo:hi], out=out[row:row + hi - lo])
     return out
 
 
-def _band_runs(rank, first, stop):
-    """Yield (row, r, lo, hi) for the packed column pairs first <= p < stop
-    of a rank-R stack, band by band of _bands: the pairs (r, s) for
-    lo <= s < hi, which are the rows row, row + 1, ... of the range. The
-    walk starts at the band that holds `first` and ends after the one that
-    holds stop - 1."""
-    if first >= stop:
-        return
-    layout = _pair_layout(rank)
-    r = int(layout.i[first])
-    # the first row of band r: the pair (r, s) sits s - r rows into it
-    begin = first - (int(layout.j[first]) - r)
-    while begin < stop:
-        end = begin + rank - r
-        lo, hi = max(begin, first), min(end, stop)
-        yield lo - first, r, r + lo - begin, r + hi - begin
-        begin, r = end, r + 1
+def weigh_pairs(q, h, scratch):
+    """Weigh the packed rows q (R(R+1)/2, B) by the pair weights h_r h_s of
+    the (R, B) stack h, in place, and return q: window_pairs(h) one band of
+    _bands at a time into the flat `scratch` of at least R B entries, so no
+    array of q's size is made."""
+    for r, rows in _bands(h.shape[0]):
+        weights = scratch[:h[r:].size].reshape(h[r:].shape)
+        q[rows] *= np.multiply(h[r], h[r:], out=weights)
+    return q
+
+
+@functools.lru_cache(maxsize=256)
+def _band_runs(n, first, stop):
+    """The (row, a, lo, hi) of the packed pairs first <= p < stop of n
+    items: _bands clipped to that range, the pairs (a, b) for lo <= b < hi
+    being the rows row, row + 1, ... of the range; a tuple built once per
+    range and shared, so a caller pays no walk over the bands outside it."""
+    runs = []
+    for a, rows in _bands(n):
+        lo, hi = max(rows.start, first), min(rows.stop, stop)
+        if lo < hi:
+            runs.append((lo - first, a, a + lo - rows.start, a + hi - rows.start))
+    return tuple(runs)
 
 
 def _block_sums(blocks, first, stop, out):

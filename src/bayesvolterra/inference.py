@@ -38,12 +38,12 @@ from scipy.special import digamma, gammaln
 
 from .errors import NumericFailure, checked
 from .features import (
-    _pair_layout,
     column_products,
     expected_gram,
     expected_residual,
     hadamard,
     kept_pairs,
+    moment_pairs,
     second_moments,
     window_pairs,
 )
@@ -169,14 +169,13 @@ def _mirror_lower(matrix):
     """Copy the strict lower triangle onto the upper one, in place, in bands
     of 64 rows, so no index array grows with the square of the size. The
     diagonal blocks go through the cached upper-triangle pairs of their
-    size (features._pair_layout), which also copy the diagonal onto
+    size (features.moment_pairs), which also copy the diagonal onto
     itself."""
     size = matrix.shape[0]
     for start in range(0, size, 64):
         stop = min(start + 64, size)
         diagonal = matrix[start:stop, start:stop]
-        layout = _pair_layout(stop - start)
-        upper = layout.i, layout.j
+        upper = moment_pairs(stop - start)
         diagonal[upper] = diagonal.T[upper]
         matrix[start:stop, stop:] = matrix[stop:, start:stop].T
 

@@ -6,48 +6,23 @@ whole path from a raw input record to original output units: it keeps the
 normalized record, an N-vector, and turns it into windows one lag_blocks
 block at a time, so no I x N window matrix is built.
 
-The packed form (_scorer) is one features.fill_blocks walk with the
-scoring contraction, over blocks sized by their window square
-(features.block_windows). Per block it projects the windows on every
-factor mean once, folds those projections into the locations and the
-other modes' cofactors h_d, and takes the parameter variance from two
-packed squares, window_pairs of the block's windows and of each h_d, and
-the covariance coefficients of the fit's second moments. The D factors'
-coefficients are built once per call into one stacked array and scaled in
-place, so a block takes one coefficient product for every factor, whose
-rows the pair weights h_r h_s then weigh in place. All are packed in the
-one pair layout of the features module. Beyond the model and a few
-N-vectors, the only large arrays are the stacked
-(D R(R+1)/2, I(I+1)/2) coefficients and one block's windows, window square
-and (D R(R+1)/2, B) product; the last two, and one band of pair weights,
-share one scratch array made once per call. predictive_arrays, which takes
-arbitrary windows, always uses it.
-
-On a record of at least FFT_WINDOWS windows, predict at long memory
-(_fft_scoring, a rule on M, R and the number of windows) takes the
-parameter variance by overlap-save FFT instead (_fft_scores): each row of
-c @ window_pairs(U) is a bank of FIR filters over the record's I base
-channels (features.base_channels), whose taps are entries of the
-coefficients c; _walk_taps takes them from the summed covariance blocks
-that block_quadratics reads, so no coefficient array is built. The D
-factors' pairs are taken in walks whose transformed taps, and whose
-products at one record chunk, each fit TAP_BYTES; each pair's taps are
-transformed once per call, and each walk goes over the record FFT_BLOCK
-windows at a time. A record chunk's
-projections on the factor means and the spectra of its channels are built
-once per walk and serve every factor in it; when a call makes several
-walks and the whole record's projections and spectra fit TAP_BYTES, they
-are built once and held across the walks. That costs about
-I (length/2 + 1) / hop complex multiply-adds per pair and window where the
-packed form does I(I+1)/2 real ones, plus the fixed cost of the taps
-transform, which a short record does not repay. The locations come from
-each chunk's first projections, taken on the packed form's blocks, so they
-are bit for bit the packed form's. One scratch set per call, for one
-walk's transformed taps (at most TAP_BYTES) and its products, weights and
-sums at one record chunk, serves every walk and chunk; beyond it the form
-holds the held inputs if any (at most TAP_BYTES again), one batch of
-TAP_ROWS pairs' taps and O((I + pairs in a walk) FFT_BLOCK) more, so past
-that budget its memory grows with N only by the N-vectors.
+The squared scale is b_N/a_N plus one quadratic form per factor, summed
+over the packed column pairs of the features module. It takes one of two
+forms. The packed form (_scorer) is one features.fill_blocks walk: per
+block, one product of the D factors' stacked coefficients
+(block_quadratics) with the block's window square, weighed by the pair
+weights of the cofactors (features.weigh_pairs). predictive_arrays, which
+takes arbitrary windows, always uses it. On a record of at least
+FFT_WINDOWS windows at long memory (_fft_scoring, a rule on M, R and the
+number of windows), predict takes the filter-bank form instead
+(_fft_scores): the same sums as a bank of FIR filters over the record's
+base channels, by overlap-save FFT (features.tap_spectra and
+features.channel_spectra). Its pairs go in walks (_walks) whose
+transformed taps, and whose products at one record chunk of FFT_BLOCK
+windows, each fit TAP_BYTES, and a record chunk's inputs are held across
+the walks when the whole record's fit TAP_BYTES too; so past that budget
+its memory grows with N only by the N-vectors. Both forms take the
+locations on the same lag_blocks blocks, so those are bit for bit equal.
 
 evaluate scores predict with the array metrics rmse and nll, the
 Student-t log density in closed form.
@@ -58,36 +33,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import poch
 
 from .data import normalize_input
 from .errors import checked
 from .features import (
     SCORE_BLOCK,
-    _band_runs,
-    _bands,
-    _block_sums,
-    base_channels,
     block_quadratics,
     block_windows,
-    channel_taps,
+    channel_spectra,
     column_blocks,
+    fft_length,
     fill_blocks,
     hadamard,
     lag_blocks,
-    moment_pairs,
+    pair_scales,
+    tap_spectra,
+    weigh_pairs,
     window_pairs,
 )
 
 # overlap-save scoring: the most bytes of one walk's transformed taps, and
-# of the record inputs held across walks; the pairs or channels transformed
-# at a time; the windows of one record chunk (whole lag_blocks blocks
-# wherever _fft_scoring takes this form, so that the locations are taken on
-# the packed form's blocks); and the fewest windows a record must have to
-# take that form
+# of the record inputs held across walks; the windows of one record chunk
+# (whole lag_blocks blocks wherever _fft_scoring takes this form, so that
+# the locations are taken on the packed form's blocks); and the fewest
+# windows a record must have to take that form
 TAP_BYTES = 12 << 20
-TAP_ROWS = 16
 FFT_BLOCK = 4 * SCORE_BLOCK
 FFT_WINDOWS = 1024
 
@@ -100,17 +71,6 @@ def _fft_scoring(memory, rank, windows):
     slower or no faster at M <= 25 and at R = 20 below M = 40; on fewer
     windows its fixed cost, the taps transform, outweighs the saving."""
     return windows >= FFT_WINDOWS and (memory >= 40 or (memory >= 30 and rank <= 4))
-
-
-def _fft_length(memory):
-    """The overlap-save segment length: the least power of two >= 2M."""
-    return 1 << (2 * memory - 1).bit_length()
-
-
-def _pair_scales(rank):
-    """The (R(R+1)/2, 1) factors 2 - delta_rs of the packed column pairs."""
-    r, s = moment_pairs(rank)
-    return np.where(r == s, 1.0, 2.0)[:, None]
 
 
 def _scorer(state, windows):
@@ -127,20 +87,20 @@ def _scorer(state, windows):
     contraction, into one (D R(R+1)/2, I(I+1)/2) array scaled by
     2 - delta_rs in place, so a block takes one product with its window
     square for every factor. Each factor's rows of that product are
-    weighed in place by h_r h_s, band by band of _bands, and summed in the
-    order of the pairs. The window square, the product and one band of
-    weights are written into one scratch array, made once per contraction
-    for the widest block the walk can have. One allocation rather than three: with glibc's
-    allocator and numpy, separate buffers were faulted in page by page on
-    every call (about 2 000 faults a call at D = 3, M = 20, R = 11), the
-    single one on none after the first.
+    weighed in place by h_r h_s (weigh_pairs) and summed in the order of
+    the pairs. The window square, the product and one band of weights are
+    written into one scratch array, made once per contraction for the
+    widest block the walk can have. One allocation rather than three: with
+    glibc's allocator and numpy, separate buffers were faulted in page by
+    page on every call (about 2 000 faults a call at D = 3, M = 20,
+    R = 11), the single one on none after the first.
     """
     order, rank, window = state.order, state.rank, state.window
     pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
     coefs = np.empty((order, pairs, squares))
     for f, c in zip(state.factors, coefs):
         block_quadratics(f.cov, rank, window, c)
-    coefs *= _pair_scales(rank)
+    coefs *= pair_scales(rank)
     coefs = coefs.reshape(order * pairs, squares)
     noise_var = float(state.noise.rate / state.noise.shape)
     widest = min(block_windows(state.memory), windows)
@@ -158,11 +118,7 @@ def _scorer(state, windows):
         np.matmul(coefs, uu, out=q.reshape(order * pairs, n))
         for d in range(order):
             h = hadamard(projections[:d] + projections[d + 1:], (rank, n))
-            for r, rows in _bands(rank):
-                weights = band[:(rank - r) * n].reshape(rank - r, n)
-                np.multiply(h[r], h[r:], out=weights)
-                q[d, rows] *= weights
-            out[1] += q[d].sum(axis=0)
+            out[1] += weigh_pairs(q[d], h, band).sum(axis=0)
         return out
 
     return score
@@ -174,7 +130,7 @@ def _walks(state):
     TAP_BYTES, as do their products, inverses and weights at one record
     chunk; each run a list of (d, first, stop) for the pairs
     first <= p < stop of factor d."""
-    length = _fft_length(state.memory)
+    length = fft_length(state.memory)
     freqs, hop = length // 2 + 1, length - state.memory + 1
     taps = 16 * state.window * freqs
     scratch = -(-FFT_BLOCK // hop) * (16 * freqs + 8 * length + 8 * hop)
@@ -189,88 +145,25 @@ def _walks(state):
     return walks
 
 
-def _walk_taps(state, walks, length, scratch):
-    """Yield, for each walk, its pairs' constants and the (F, P, I) rfft at
-    `length` of their taps. The taps are read TAP_ROWS pairs at a time from
-    the summed blocks of block_quadratics (_block_sums): halved on the
-    diagonal, scaled by 2 - delta_rs, and gathered by channel_taps into a
-    buffer already zero-padded to `length`. They are transformed four pairs
-    at a time, so the untransformed taps and one transform's output stay
-    small. Every walk's transforms are written into the flat complex
-    `scratch`, which the caller reads before it takes the next walk.
-    """
-    window, memory, rank = state.window, state.memory, state.rank
-    freqs = length // 2 + 1
-    batch = min(TAP_ROWS, max(stop - first for walk in walks for _, first, stop in walk))
-    scales = _pair_scales(rank)
-    index, valid = channel_taps(memory)
-    sums = np.empty((batch, window, window))
-    # the taps past each pair's last, and the padding, stay zero
-    padded = np.zeros((batch, window, length))
-    for walk in walks:
-        constants = np.empty(sum(stop - first for _, first, stop in walk))
-        spectra = scratch[:freqs * constants.size * window].reshape(
-            freqs, constants.size, window)
-        row = 0
-        for d, first, stop in walk:
-            blocks = np.reshape(state.factors[d].cov, (rank, window, rank, window))
-            for lo in range(first, stop, TAP_ROWS):
-                count = min(TAP_ROWS, stop - lo)
-                summed = _block_sums(blocks, lo, lo + count,
-                                     sums[:count]).reshape(count, -1)
-                summed[:, ::window + 1] *= 0.5
-                summed *= scales[lo:lo + count]
-                constants[row:row + count] = summed[:, 0]
-                np.copyto(padded[:count, :, :memory], np.take(summed, index, axis=1),
-                          where=valid)
-                # four pairs at a time, so that a transform's output is
-                # still in cache when it is copied into the walk's layout
-                for j in range(0, count, 4):
-                    k = min(j + 4, count)
-                    spectra[:, row + j:row + k] = np.fft.rfft(
-                        padded[j:k], axis=-1).transpose(2, 0, 1)
-                row += count
-        yield constants, spectra
-
-
-def _chunk_inputs(state, x, begin, size, length):
-    """What every walk shares at the `size` windows of x from `begin`: their
-    (D, R, size) projections on the factor means, taken on lag_blocks'
-    blocks as _scorer gets them, and the (F, I, S) rfft of the
-    S overlap-save segments of their base channels."""
-    means, memory = state.factor_means, state.memory
-    projections = fill_blocks(lag_blocks(x[:begin + size], memory, begin),
-                              (len(means), state.rank), size,
-                              lambda block: [m.T @ block for m in means])
-    hop = length - memory + 1
-    channels = base_channels(x, memory, begin, begin + -(-size // hop) * hop)
-    segments = sliding_window_view(channels, length, axis=1)[:, ::hop]
-    spectra = np.empty((length // 2 + 1,) + segments.shape[:2], dtype=complex)
-    for first in range(0, segments.shape[0], TAP_ROWS):
-        rows = slice(first, first + TAP_ROWS)
-        spectra[:, rows] = np.fft.rfft(segments[rows], axis=-1).transpose(2, 0, 1)
-    return projections, spectra
-
-
 def _fft_scores(state, x, start):
     """The (2, n) model-unit locations and squared scales of the windows of
     x[start:], as the packed scorer gives them, with each row q of
     c @ window_pairs(U) in its sum over pairs of (2 - delta_rs) h_r h_s q_rs
     taken as a filter bank over the record's base channels.
 
-    The D factors' pairs are split into walks (_walks, _walk_taps). Each
+    The D factors' pairs are split into walks (_walks, tap_spectra). Each
     walk goes over the record FFT_BLOCK windows at a time, and a record
-    chunk's projections and channel spectra (_chunk_inputs) serve every pair
-    of the walk: one batched complex product per frequency and one inverse
-    transform per pair give the rows q (overlap-save: segments of `length`
-    channel samples advance by hop = length - M + 1 windows, and each keeps
-    its last hop samples), and one contraction with the weights h_r h_s of
-    the walk's pairs, from the cofactors h_d band by band (_band_runs),
-    sums them, the constants entering as one product with the weights.
-    When a call makes several walks and every chunk's inputs fit TAP_BYTES
-    together, they are built once and held; otherwise each walk rebuilds
-    them. The locations come from each chunk's first projections, on the
-    blocks _scorer gets, so they are its own.
+    chunk's projections on the factor means, taken on lag_blocks' blocks
+    as _scorer gets them, and its channel spectra (channel_spectra) serve
+    every pair of the walk: one batched complex product per frequency and
+    one inverse transform per pair give the rows q, each segment keeping
+    its last hop = length - M + 1 samples, and one contraction with the
+    pair weights h_r h_s of the walk's pairs (window_pairs of the
+    cofactors h_d) sums them, the constants entering as one product with
+    the weights. When a call makes several walks and every chunk's inputs
+    fit TAP_BYTES together, they are built once and held; otherwise each
+    walk rebuilds them. The locations come from each chunk's first
+    projections, so they are the packed form's own.
 
     One scratch set, made once per call for the most pairs of a walk and
     the most segments of a chunk, serves every walk and chunk: the walk's
@@ -278,8 +171,8 @@ def _fft_scores(state, x, start):
     weights, of which only the tail past the chunk is zeroed, and the sums
     (einsum out=).
     """
-    memory, rank = state.memory, state.rank
-    length = _fft_length(memory)
+    means, memory, rank = state.factor_means, state.memory, state.rank
+    length = fft_length(memory)
     freqs, hop = length // 2 + 1, length - memory + 1
     n = x.size - start
     walks = _walks(state)
@@ -299,16 +192,18 @@ def _fft_scores(state, x, start):
     totals = np.empty(widest * hop)
     out = np.full((2, n), float(state.noise.rate / state.noise.shape))
     held = {}
-    for w, (walk, (constants, taps)) in enumerate(
-            zip(walks, _walk_taps(state, walks, length, spectra))):
+    for w, (walk, (constants, taps)) in enumerate(zip(walks, tap_spectra(
+            [f.cov for f in state.factors], rank, memory, walks, length, spectra))):
         pairs = constants.size
         for offset in offsets:
-            size = min(FFT_BLOCK, n - offset)
+            size, begin = min(FFT_BLOCK, n - offset), start + offset
             if offset in held:
                 projections, channels = held[offset]
             else:
-                projections, channels = _chunk_inputs(state, x, start + offset, size,
-                                                       length)
+                projections = fill_blocks(lag_blocks(x[:begin + size], memory, begin),
+                                          (len(means), rank), size,
+                                          lambda block: [m.T @ block for m in means])
+                channels = channel_spectra(x, memory, begin, size, length)
                 if hold:
                     held[offset] = projections, channels
             if w == 0:
@@ -320,11 +215,8 @@ def _fft_scores(state, x, start):
             pair_weights[:, size:] = 0.0
             row = 0
             for d, first, stop in walk:
-                others = [p for k, p in enumerate(projections) if k != d]
-                h = hadamard(others, (rank, size))
-                for at, band, lo, hi in _band_runs(rank, first, stop):
-                    np.multiply(h[band], h[lo:hi],
-                                out=pair_weights[row + at:row + at + hi - lo, :size])
+                h = hadamard([*projections[:d], *projections[d + 1:]], (rank, size))
+                window_pairs(h, pair_weights[row:row + stop - first, :size], first, stop)
                 row += stop - first
             product = products[:freqs * pairs * segments].reshape(freqs, pairs, segments)
             np.matmul(taps, channels, out=product)

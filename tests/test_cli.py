@@ -480,6 +480,42 @@ def test_evaluate_skip_warmup_starts_after_the_split(pipeline, tmp_path):
     assert scored["nll"] == report.nll
 
 
+def test_identify_refuses_a_score_range_with_no_samples_before_the_fit(
+        tmp_path, capsys, monkeypatch):
+    # --split 200 and --skip-warmup 150 leave no sample of 300 to score: the
+    # command fails before it fits, and writes no model directory
+    data = tmp_path / "short.csv"
+    save_csv(data, Dataset(np.linspace(0.0, 1.0, 300), np.cos(np.arange(300.0))))
+    fits = []
+    monkeypatch.setattr(cli, "identify", lambda *args, **kwargs: fits.append(args))
+    model = tmp_path / "model"
+    rc = main(["identify", "--data", str(data), "--order", "2", "--memory", "3",
+               "--split", "200", "--skip-warmup", "150", "--out", str(model)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nothing to score")
+    assert "--split 200" in err and "--skip-warmup 150" in err
+    assert fits == []
+    assert not model.exists()
+
+
+def test_evaluate_refuses_a_score_range_with_no_samples_before_loading_the_model(
+        pipeline, tmp_path, capsys, monkeypatch):
+    # the record has 1000 rows: --skip-warmup 400 after --split 800 leaves
+    # none, and the model is not read
+    loads = []
+    monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+    out = tmp_path / "eval.json"
+    rc = main(["evaluate", "--model", str(pipeline.model), "--data", str(pipeline.data),
+               "--split", "800", "--skip-warmup", "400", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nothing to score")
+    assert "--split 800" in err and "--skip-warmup 400" in err
+    assert loads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_model_with_a_bad_covariance_is_an_error(pipeline, tmp_path, capsys, command):
     model = tmp_path / "model"

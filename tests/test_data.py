@@ -71,6 +71,21 @@ def test_load_csv_rejects_wrong_header(tmp_path):
         load_csv(write(tmp_path, "x,y\n1,2\n"))
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # a spreadsheet's export loads as the plain file does; a bad row still
+    # cites its own line
+    text = "u,y\r\n0.5,1.0\r\n-2,3e-3\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want, got = load_csv(plain), load_csv(marked)
+    assert_array_equal(got.u, want.u)
+    assert_array_equal(got.y, want.y)
+    marked.write_bytes(b"\xef\xbb\xbfu,y\n1,2\nx,3\n")
+    with pytest.raises(DataFormatError, match=":3: non-numeric"):
+        load_csv(marked)
+
+
 def test_load_csv_cites_the_offending_line(tmp_path):
     path = write(tmp_path, "u,y\n0.1,1.0\nnan,1.1\n")
     with pytest.raises(DataFormatError, match=":3:"):

@@ -7,6 +7,8 @@ to their full R x R form for both, and compared with the full-stack
 kernels kept in the test oracles.
 """
 
+import ast
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -30,6 +32,7 @@ from bayesvolterra import (
     synthesize,
     window_pairs,
 )
+from bayesvolterra import inference, prediction
 from bayesvolterra.features import (
     _band_runs,
     _bands,
@@ -517,6 +520,42 @@ def test_window_pairs_are_the_upper_rows_of_the_khatri_rao_square():
         packed = window_pairs(U)
         assert packed.shape == (window * (window + 1) // 2, n)
         assert_array_equal(packed, khatri_rao(U, U)[i * window + j])
+
+
+def test_window_pairs_of_a_row_range_are_those_rows_of_the_square():
+    # bit for bit, every range of packed rows, into a fresh output and into
+    # a strided view of a wider buffer, as the filter bank writes its pair
+    # weights
+    rng = np.random.default_rng(21)
+    n = 9
+    for window in range(1, 8):
+        U = rng.standard_normal((window, n))
+        square = window_pairs(U)
+        pairs = window * (window + 1) // 2
+        for first in range(pairs):
+            for stop in range(first + 1, pairs + 1):
+                assert_array_equal(window_pairs(U, first=first, stop=stop),
+                                   square[first:stop])
+                wide = np.full((pairs + 2, n + 5), np.nan)
+                view = wide[1:1 + stop - first, :n]
+                assert window_pairs(U, view, first, stop) is view
+                assert_array_equal(view, square[first:stop])
+                assert np.isnan(wide[:, n:]).all()
+    with pytest.raises(ValueError, match="packed rows"):
+        window_pairs(U, first=3, stop=pairs + 1)
+
+
+def test_only_features_reads_the_packed_layouts():
+    # prediction and inference import no private name of features: the
+    # pair and tap layouts are read and written there alone
+    for module in (prediction, inference):
+        with open(module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[-1] == "features"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], module.__name__
 
 
 def test_block_quadratics_match_the_full_blocks():

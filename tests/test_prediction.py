@@ -22,7 +22,7 @@ from bayesvolterra import (
     predictive_arrays,
     rmse,
 )
-from bayesvolterra import prediction
+from bayesvolterra import features, prediction
 from bayesvolterra.features import (
     BLOCK_BYTES,
     SCORE_BLOCK,
@@ -446,7 +446,7 @@ def record_cases(memory):
     """(n, start) pairs: a record shorter than one segment, lengths that
     are and are not a multiple of the hop, and starts at 0, inside the
     first M - 1 samples, on a segment edge and at the last window."""
-    hop = prediction._fft_length(memory) - memory + 1
+    hop = features.fft_length(memory) - memory + 1
     return [(hop // 2, 0), (hop // 2, hop // 2 - 1), (3 * hop, 0),
             (3 * hop + 7, max(1, memory // 2)), (3 * hop + 7, hop),
             (3 * hop + 7, 3 * hop + 6), (2 * hop + memory, 2 * hop - 1)]
@@ -474,9 +474,9 @@ def test_fft_scores_across_pair_and_record_chunks(monkeypatch):
     # partial transform batch, against the packed form
     order, rank, memory = 3, 5, 40
     state = scoring_state(31, order=order, memory=memory, rank=rank)
-    length = prediction._fft_length(memory)
+    length = features.fft_length(memory)
     monkeypatch.setattr(prediction, "TAP_BYTES", 4 * 16 * (memory + 1) * (length // 2 + 1))
-    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    monkeypatch.setattr(features, "TAP_ROWS", 3)
     monkeypatch.setattr(prediction, "FFT_BLOCK", SCORE_BLOCK)
     u = np.random.default_rng(31).uniform(-1.0, 3.0, 3 * SCORE_BLOCK + 5)
     x = normalize_input(u, state.normalization)
@@ -493,10 +493,10 @@ def test_fft_scores_with_walks_across_factors(rank, per, monkeypatch):
     # inside a factor; records of 1 to 3 chunks, the shortest held
     order, memory = 3, 40
     state = scoring_state(34 + rank, order=order, memory=memory, rank=rank)
-    length = prediction._fft_length(memory)
+    length = features.fft_length(memory)
     monkeypatch.setattr(prediction, "TAP_BYTES",
                         per * 16 * (memory + 1) * (length // 2 + 1))
-    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    monkeypatch.setattr(features, "TAP_ROWS", 3)
     monkeypatch.setattr(prediction, "FFT_BLOCK", SCORE_BLOCK)
     walks = prediction._walks(state)
     assert max(sum(stop - first for _, first, stop in walk) for walk in walks) == per
@@ -531,13 +531,13 @@ def test_fft_scores_build_each_record_chunk_once_per_walk(rank, windows, calls,
     x = normalize_input(np.random.default_rng(35).uniform(-1.0, 3.0, windows),
                         state.normalization)
     counted = []
-    channels = prediction.base_channels
+    channels = features.base_channels
 
     def counting(*args):
         counted.append(args[2:])
         return channels(*args)
 
-    monkeypatch.setattr(prediction, "base_channels", counting)
+    monkeypatch.setattr(features, "base_channels", counting)
     prediction._fft_scores(state, x, 0)
     assert len(counted) == calls
 
@@ -550,7 +550,7 @@ def test_fft_predict_holds_one_walk_of_taps_and_the_record_inputs():
     order, rank, memory, n = 3, 11, 100, 4096
     window = memory + 1
     assert prediction._fft_scoring(memory, rank, n)
-    length = prediction._fft_length(memory)
+    length = features.fft_length(memory)
     freqs, hop = length // 2 + 1, length - memory + 1
     pairs, squares = rank * (rank + 1) // 2, window * (window + 1) // 2
     state = scoring_state(36, order=order, memory=memory, rank=rank)
@@ -619,7 +619,7 @@ def test_fft_predict_holds_the_taps_and_one_record_chunk():
     order, rank, memory, n = 2, 2, 100, 40_000
     window = memory + 1
     assert prediction._fft_scoring(memory, rank, n)
-    length = prediction._fft_length(memory)
+    length = features.fft_length(memory)
     pairs = rank * (rank + 1) // 2
     taps = 16 * pairs * window * (length // 2 + 1)
     state = scoring_state(33, order=order, memory=memory, rank=rank)
@@ -633,13 +633,13 @@ def reference_taps(state, d, length):
     """pair_taps of factor d's coefficients times 2 - delta_rs, and the
     (F, P, I) rfft of the taps at `length`."""
     coefs = block_quadratics(state.factors[d].cov, state.rank, state.window)
-    constants, taps = pair_taps(coefs * prediction._pair_scales(state.rank),
+    constants, taps = pair_taps(coefs * features.pair_scales(state.rank),
                                 state.window)
     return constants, taps, np.fft.rfft(taps, n=length, axis=-1).transpose(2, 0, 1)
 
 
 def walk_taps_equal_the_reference(state, length, walk_pairs):
-    """Check _walk_taps' constants and spectra against reference_taps, bit
+    """Check tap_spectra's constants and spectra against reference_taps, bit
     for bit, with walks of `walk_pairs` pairs; check too that the summed
     blocks (_block_sums) of every three pairs, halved on the diagonal,
     scaled and gathered by channel_taps, are those pairs' taps."""
@@ -649,8 +649,8 @@ def walk_taps_equal_the_reference(state, length, walk_pairs):
     reference = [reference_taps(state, d, length) for d in range(order)]
     index, valid = channel_taps(state.memory)
     seen = 0
-    for walk, (constants, spectra) in zip(walks, prediction._walk_taps(state, walks, length,
-                                                                      scratch)):
+    for walk, (constants, spectra) in zip(walks, features.tap_spectra(
+            [f.cov for f in state.factors], rank, state.memory, walks, length, scratch)):
         row = 0
         for d, first, stop in walk:
             want_constants, want_taps, want_spectra = reference[d]
@@ -662,7 +662,7 @@ def walk_taps_equal_the_reference(state, length, walk_pairs):
                 hi = min(lo + 3, stop)
                 sums = _block_sums(blocks, lo, hi, np.empty((hi - lo, window, window)))
                 sums[:, range(window), range(window)] *= 0.5
-                sums *= prediction._pair_scales(rank)[lo:hi, :, None]
+                sums *= features.pair_scales(rank)[lo:hi, :, None]
                 taps = np.where(valid, np.take(sums.reshape(hi - lo, -1), index, axis=1),
                                 0.0)
                 assert_array_equal(sums[:, 0, 0], want_constants[lo:hi])
@@ -693,8 +693,8 @@ def test_taps_read_from_the_covariance_equal_the_coefficient_taps(order, rank, m
     # that end inside a factor or span two, up to the last pair (R - 1, R - 1)
     state = exactly_symmetric(scoring_state(40 + memory, order=order, memory=memory,
                                             rank=rank))
-    length = prediction._fft_length(memory)
-    monkeypatch.setattr(prediction, "TAP_ROWS", tap_rows)
+    length = features.fft_length(memory)
+    monkeypatch.setattr(features, "TAP_ROWS", tap_rows)
     monkeypatch.setattr(prediction, "TAP_BYTES",
                         walk_pairs * 16 * (memory + 1) * (length // 2 + 1))
     walk_taps_equal_the_reference(state, length, walk_pairs)
@@ -715,8 +715,8 @@ def test_taps_of_a_fortran_order_covariance_equal_the_coefficient_taps(order, ra
         assert not f.cov.flags.c_contiguous
     for got, want in zip(predict(state, u), expected):
         assert_array_equal(got, want)
-    length = prediction._fft_length(memory)
-    monkeypatch.setattr(prediction, "TAP_ROWS", 3)
+    length = features.fft_length(memory)
+    monkeypatch.setattr(features, "TAP_ROWS", 3)
     monkeypatch.setattr(prediction, "TAP_BYTES", 4 * 16 * (memory + 1) * (length // 2 + 1))
     walk_taps_equal_the_reference(state, length, 4)
 
