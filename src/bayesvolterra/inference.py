@@ -6,23 +6,10 @@ property heavily. The steps take the sweep's statistics as arguments: a
 factor update the cross weights of its mode, the elementwise product of
 the other modes' packed (R(R+1)/2, N) second-moment stacks, and the noise
 update and the bound only N and the expected residual E||y - G'w||^2.
-identify builds the packed window square window_pairs(U) once per fit,
-which both moment kernels contract against, forms every product of
-stacks with the left fold features.hadamard, and the residual once per
-sweep. Rank truncation runs once per sweep after the bound is recorded,
-so every trace entry describes a state of fixed rank; it returns the kept
-columns, to whose pairs the stacks are sliced. Only a truncation in the
-last sweep calls for one more residual and noise update.
-
-A factor update allocates one (R*I)^2 array, its precision, and factors
-that exactly symmetric matrix once, in place: two triangular solves give
-the mean, and LAPACK dpotri overwrites the factor with the covariance.
-identify drops a mode's old covariance and stack before its update, so a
-fit holds D - 1 of each, the cross weights and that one buffer; it
-slices the stacks one at a time at a truncation and forms the residual's
-product in place on the last cross weights. Both numerical fallbacks,
-the Cholesky jitter retry and the clamp of a negative expected residual,
-warn with a RuntimeWarning.
+_sweep runs the steps of one sweep and states what a fit holds in memory;
+identify loops over it, truncating the rank and testing the stop rule
+after each sweep. Both numerical fallbacks, the Cholesky jitter retry and
+the clamp of a negative expected residual, warn with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -382,7 +369,9 @@ def _start_state(start, config, window):
     """A fit's own copy of the state `start`, checked against the config and
     the window: the factor and Gamma posteriors the fit replaces are new
     objects, so `start` is left as it was; their arrays are shared, and the
-    fit writes none of them."""
+    fit writes none of them. A field whose shape does not match the order,
+    the window and factor 0's rank, a non-finite factor or a covariance
+    that is not exactly symmetric is refused by name."""
     if start.order != config.order:
         raise ValueError(f"start state has order {start.order}, the config "
                          f"{config.order}")
@@ -391,10 +380,68 @@ def _start_state(start, config, window):
     if start.row_prec_fixed == config.lag_sparsity:
         raise ValueError(f"start state has row_prec_fixed={start.row_prec_fixed}, "
                          f"the config lag_sparsity={config.lag_sparsity}")
+    if len(start.factors) != start.order:
+        raise ValueError(f"start state has {len(start.factors)} factors, "
+                         f"order {start.order}")
+    rank = start.rank
+    for name, size in (("col_prec", rank), ("row_prec", window)):
+        for part in ("shape", "rate"):
+            got = np.shape(getattr(getattr(start, name), part))
+            if got != (size,):
+                raise ValueError(f"start state {name}.{part} is an array of shape "
+                                 f"{got}, expected ({size},)")
     for d, f in enumerate(start.factors):
         if f.cov is None:
             raise ValueError(f"start state factor {d} has no covariance")
+        for name, value, shape in (("mean", f.mean, (window, rank)),
+                                   ("covariance", f.cov, (window * rank,) * 2)):
+            if np.shape(value) != shape:
+                raise ValueError(f"start state factor {d} {name} has shape "
+                                 f"{np.shape(value)}, expected {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"start state factor {d} {name} is not finite")
+        # block_quadratics and second_moments read the covariance as exactly
+        # symmetric
+        if not np.array_equal(f.cov, np.transpose(f.cov)):
+            raise ValueError(f"start state factor {d} covariance is not symmetric")
     return replace(start, factors=[replace(f) for f in start.factors])
+
+
+def _sweep(state, U, y, uu, moments):
+    """One sweep of the coordinate updates, in place; returns its bound.
+
+    Every factor in turn, then the lag precisions (unless row_prec_fixed),
+    the column precisions, and the noise precision and the bound from one
+    expected residual. `moments` is the list of each mode's packed
+    second-moment stack, against the packed window square uu =
+    window_pairs(U); it is updated in place, and the entry of mode 0 may be
+    None before the first sweep, as the first update replaces it unread.
+
+    Memory: a mode's stack and covariance are dropped before its update,
+    which reads neither, so an update runs beside D - 1 of each, the mode's
+    cross weights and the one (R*I)^2 buffer update_factor allocates, its
+    precision, which becomes the new covariance. The residual's product of
+    all D stacks is the last mode's cross weights times its new stack,
+    formed in place. Each step is called through this module's names, so a
+    wrapper set on one of them sees every call.
+    """
+    packed = (state.rank * (state.rank + 1) // 2, y.size)
+    for d in range(state.order):
+        weights = hadamard(moments[:d] + moments[d + 1:], packed)
+        moments[d] = None
+        state.factors[d].cov = None
+        posterior = update_factor(state, U, y, d, weights, uu)
+        # the residual needs the last mode's cross weights
+        if d < state.order - 1:
+            del weights
+        moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
+    weights *= moments[-1]
+    resid = expected_residual(U, y, state.factor_means, weights)
+    if not state.row_prec_fixed:
+        update_row_precisions(state)
+    update_col_precisions(state)
+    update_noise_precision(state, y.size, resid)
+    return compute_elbo(state, y.size, resid)
 
 
 def identify(U, y, config, priors=None, normalization=None, start=None):
@@ -403,21 +450,18 @@ def identify(U, y, config, priors=None, normalization=None, start=None):
     U is the I x N lagged window matrix and y the length-N output in model
     units. The fit begins from init_state at the config's order, rank and
     seed, or, when `start` is a ModelState, from that state: it must have
-    the config's order, U's window, covariances and row_prec_fixed equal to
-    not lag_sparsity, and it brings its own rank, priors and normalization,
-    so `priors` and `normalization` must then be None. `start` itself is
-    not changed. Each sweep updates every factor, then the lag precisions
-    (unless disabled), the column precisions, and the noise precision and
-    the bound from one expected residual, records the bound, and finally
-    truncates the rank, slicing the moment stacks one at a time. A mode's
-    old covariance and stack are dropped before its update, which reads
-    neither. The residual's product of all D stacks is the last mode's
-    cross weights times its new stack, formed in place. The loop stops
-    when the relative bound change at fixed rank drops below elbo_rel_tol
-    or max_iter is reached, and the trace records which. Only when the
-    last sweep truncated is the noise posterior refreshed on the kept
-    columns; otherwise the last sweep's noise update already saw the final
-    factors.
+    the config's order, U's window, row_prec_fixed equal to not
+    lag_sparsity, and finite factors of one rank with exactly symmetric
+    covariances, and it brings its own rank, priors and normalization, so
+    `priors` and `normalization` must then be None. `start` itself is not
+    changed. Each sweep is one _sweep; its bound is recorded, and then
+    the rank is truncated, slicing the moment stacks one at a time. The
+    loop stops when the relative bound change at fixed rank drops below
+    elbo_rel_tol or max_iter is reached, and the trace records which. Only
+    when the last sweep truncated is the noise posterior refreshed on the
+    kept columns; otherwise the last sweep's noise update already saw the
+    final factors, and a fit started from the returned state continues
+    this one exactly.
 
     Returns (ModelState, FitTrace). Numeric failures carry the sweep index.
     """
@@ -444,47 +488,24 @@ def identify(U, y, config, priors=None, normalization=None, start=None):
     else:
         state = _start_state(start, config, U.shape[0])
     uu = window_pairs(U)
-    # the first update overwrites factor 0's stack before anything reads it
     moments = [None] + [second_moments(U, f.mean, f.cov, uu)
                         for f in state.factors[1:]]
-    last = state.order - 1
     trace = FitTrace()
     previous = None
     started = time.perf_counter()
     for sweep in range(1, config.max_iter + 1):
-        packed = (state.rank * (state.rank + 1) // 2, y.size)
         try:
-            for d in range(state.order):
-                weights = hadamard(moments[:d] + moments[d + 1:], packed)
-                # drop what the update does not read: mode d's stack and
-                # covariance
-                moments[d] = None
-                state.factors[d].cov = None
-                posterior = update_factor(state, U, y, d, weights, uu)
-                # the residual needs the last mode's cross weights
-                if d < last:
-                    del weights
-                moments[d] = second_moments(U, posterior.mean, posterior.cov, uu)
-            # the last mode's cross weights times its new stack: all D modes
-            weights *= moments[last]
-            resid = expected_residual(U, y, state.factor_means, weights)
-            del weights
-            if config.lag_sparsity:
-                update_row_precisions(state)
-            update_col_precisions(state)
-            update_noise_precision(state, y.size, resid)
-            bound = compute_elbo(state, y.size, resid)
+            bound = _sweep(state, U, y, uu, moments)
         except NumericFailure as err:
             err.iteration = sweep
             raise
         trace.append(sweep, bound, state.rank, float(state.noise.mean),
                      time.perf_counter() - started)
-        rank = state.rank
         keep = truncate_rank(state, config.truncation_threshold)
         if keep is not None:
             # rank changed: slice the stacks, one at a time, and restart
             # the convergence window
-            rows = kept_pairs(keep, rank)
+            rows = kept_pairs(keep, trace.rank[-1])
             for k in range(len(moments)):
                 moments[k] = moments[k][rows]
             previous = None

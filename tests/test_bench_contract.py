@@ -85,3 +85,49 @@ def test_the_spd_solve_goes_through_the_traced_cholesky_wrappers(monkeypatch):
     _, solution, _ = inference._solve_spd(matrix, rhs, "test")
     assert calls == {"cho_factor": 1, "cho_solve": 1}
     np.testing.assert_allclose(solution, expected, rtol=1e-10)
+
+
+# the traced steps of a sweep, and their calls in a k-sweep fit of order D
+# that keeps every column: the D - 1 starting stacks, then per sweep D factor
+# updates and D new stacks, one residual, one noise update and one bound
+SWEEP_CALLS = {
+    "inference.update_factor": lambda order, k: order * k,
+    "features.expected_gram": lambda order, k: order * k,
+    "inference.cho_factor": lambda order, k: order * k,
+    "features.second_moments": lambda order, k: order - 1 + order * k,
+    "features.expected_residual": lambda order, k: k,
+    "inference.update_noise_precision": lambda order, k: k,
+    "inference.compute_elbo": lambda order, k: k,
+}
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_every_sweep_step_passes_through_the_traced_wrappers(monkeypatch, order):
+    # each step is wrapped as Tracer.install wraps it, at every module
+    # attribute that holds it; a sweep that bound a step locally would
+    # bypass the wrapper, and a traced run would read zero for that step
+    modules = [module for name, module in list(sys.modules.items())
+               if name == "bayesvolterra" or name.startswith("bayesvolterra.")]
+    calls = dict.fromkeys(SWEEP_CALLS, 0)
+    for span, home, attr, _ in TRACER.TARGETS:
+        if span not in calls:
+            continue
+        original = getattr(sys.modules[home], attr)
+
+        def counted(*args, _span=span, _original=original, **kwargs):
+            calls[_span] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    sweeps, rank = 3, 3
+    rng = np.random.default_rng(7)
+    U = features.build_lagged_matrix(rng.uniform(-1.0, 1.0, 120), 4)
+    y = rng.standard_normal(120)
+    config = inference.FitConfig(order=order, rank=rank, max_iter=sweeps,
+                                 elbo_rel_tol=1e-300, truncation_threshold=1e-300)
+    state, trace = inference.identify(U, y, config)
+    assert trace.rank == [rank] * sweeps and state.rank == rank
+    assert calls == {span: count(order, sweeps) for span, count in SWEEP_CALLS.items()}

@@ -808,16 +808,45 @@ def test_identify_takes_the_rank_from_the_start():
     assert trace.rank == [3, 3, 3]
 
 
+def malformed(change):
+    """A rank-4 start of order 2 and memory 4 with `change(state)` applied."""
+    state = init_state(2, 4, 4, seed=0)
+    change(state)
+    return state
+
+
+def asymmetric(state):
+    cov = state.factors[0].cov.copy()
+    cov[0, 1] = 1e-12
+    state.factors[0].cov = cov
+
+
 def test_identify_refuses_a_start_that_does_not_fit():
     u, y, _ = make_rank2_data(2, n=100)
     U = build_lagged_matrix(u, 4)
     config = FitConfig(order=2, rank=3, max_iter=2)
     no_cov = init_state(2, 4, 3)
     no_cov.factors[1].cov = None
-    for start, match in [(init_state(3, 4, 3), "order"),
-                         (init_state(2, 5, 3), "window"),
-                         (init_state(2, 4, 3, row_prec_fixed=True), "row_prec_fixed"),
-                         (no_cov, "factor 1 has no covariance")]:
+    for start, match in [
+        (init_state(3, 4, 3), "order"),
+        (init_state(2, 5, 3), "window"),
+        (init_state(2, 4, 3, row_prec_fixed=True), "row_prec_fixed"),
+        (no_cov, "factor 1 has no covariance"),
+        (malformed(lambda s: s.factors.append(s.factors[0])), "has 3 factors"),
+        (malformed(lambda s: setattr(s, "col_prec", GammaPosterior(np.ones(3), np.ones(3)))),
+         "col_prec.shape is an array of shape"),
+        (malformed(lambda s: setattr(s, "row_prec", GammaPosterior(np.ones(5), np.ones(4)))),
+         "row_prec.rate is an array of shape"),
+        (malformed(lambda s: s.factors.__setitem__(1, init_state(2, 4, 3).factors[1])),
+         "factor 1 mean has shape"),
+        (malformed(lambda s: setattr(s.factors[1], "cov", np.eye(19))),
+         "factor 1 covariance has shape"),
+        (malformed(lambda s: s.factors[0].mean.__setitem__((0, 0), np.nan)),
+         "factor 0 mean is not finite"),
+        (malformed(lambda s: setattr(s.factors[1], "cov", np.diag(np.r_[np.inf, np.ones(19)]))),
+         "factor 1 covariance is not finite"),
+        (malformed(asymmetric), "factor 0 covariance is not symmetric"),
+    ]:
         with pytest.raises(ValueError, match=match):
             identify(U, y, config, start=start)
     with pytest.raises(ValueError, match="priors and normalization"):
@@ -825,6 +854,56 @@ def test_identify_refuses_a_start_that_does_not_fit():
     with pytest.raises(ValueError, match="priors and normalization"):
         identify(U, y, config, normalization=NormalizationRecord(),
                  start=init_state(2, 4, 3))
+
+
+@pytest.mark.parametrize("threshold", [1e-300, 0.05], ids=["untruncated", "truncated"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_identify_continues_a_fit_from_the_state_it_returns(order, threshold):
+    # six sweeps equal three, then three more from the state those return,
+    # bit for bit. The split lies after a sweep that kept every column: a
+    # last-sweep truncation refreshes the noise on the kept columns, so a
+    # fit continued from there starts from another noise posterior than
+    # the longer fit's next sweep, by design
+    u, y, _ = make_rank2_data(0, n=200)
+    U = build_lagged_matrix(u, 4)
+
+    def config(sweeps):
+        return FitConfig(order=order, rank=4, max_iter=sweeps, elbo_rel_tol=1e-300,
+                         truncation_threshold=threshold, seed=0)
+
+    whole, whole_trace = identify(U, y, config(6))
+    head, head_trace = identify(U, y, config(3))
+    assert head.rank == head_trace.rank[-1]
+    tail, tail_trace = identify(U, y, config(3), start=head)
+    for name in ("elbo", "rank", "noise_mean"):
+        assert getattr(head_trace, name) + getattr(tail_trace, name) \
+            == getattr(whole_trace, name)
+    for f_tail, f_whole in zip(tail.factors, whole.factors, strict=True):
+        assert_array_equal(f_tail.mean, f_whole.mean)
+        assert_array_equal(f_tail.cov, f_whole.cov)
+        assert f_tail.cov_logdet == f_whole.cov_logdet
+    for name in ("col_prec", "row_prec", "noise"):
+        got, want = getattr(tail, name), getattr(whole, name)
+        assert_array_equal(got.shape, want.shape)
+        assert_array_equal(got.rate, want.rate)
+
+
+def test_identify_holds_d_covariances_and_d_plus_one_stacks():
+    # beyond U and y, a fit peaks below D covariances, the packed window
+    # square, D + 1 stacks and two (P_R, P_I) coefficient arrays, plus 64
+    # KiB: one more covariance (0.49 MB) or stack (0.29 MB) kept alive
+    # exceeds it
+    order, memory, rank, n = 3, 30, 8, 1000
+    window = memory + 1
+    U, y = regression_problem(43, n=n, memory=memory)
+    config = FitConfig(order=order, rank=rank, max_iter=2, elbo_rel_tol=1e-300,
+                       truncation_threshold=1e-300, seed=43)
+    # the first fit at a size builds the cached pair layouts
+    identify(U, y, config)
+    pairs_r, pairs_i = rank * (rank + 1) // 2, window * (window + 1) // 2
+    bound = 8 * (order * (rank * window) ** 2 + pairs_i * n + (order + 1) * pairs_r * n
+                 + 2 * pairs_r * pairs_i) + 2**16
+    assert traced_peak(lambda: identify(U, y, config)) <= bound
 
 
 def test_identify_records_why_it_stopped():
