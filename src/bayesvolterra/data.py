@@ -69,9 +69,20 @@ def load_csv(path):
     and the data rows through one streaming np.loadtxt pass, checked for
     finiteness once on the array. Only when that pass fails is the file
     read again row by row (_read_rows), so that errors cite the one-based
-    line number of the first offending row.
+    line number of the first offending row. A file that is not UTF-8
+    text cites its first line that does not decode.
     """
     path = Path(path)
+    try:
+        return _parse_csv(path)
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}:{_undecodable_line(path)}: "
+                              "not UTF-8 text") from None
+
+
+def _parse_csv(path):
+    """load_csv's passes over the file, which meet bytes that are not
+    UTF-8 as a UnicodeDecodeError."""
     # the decoder skips the mark again after the seek(0) below
     with path.open(newline="", encoding="utf-8-sig") as handle:
         header = next(csv.reader(handle), None)
@@ -98,6 +109,18 @@ def load_csv(path):
     # two contiguous columns, as the row-by-row pass gives, not strided
     # views that keep the table alive
     return Dataset(table[:, 0].copy(), table[:, 1].copy())
+
+
+def _undecodable_line(path):
+    """The one-based number of the first line of the file whose bytes are
+    not UTF-8; a text decoder fails on a chunk, which names no line."""
+    for line, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return line
+    # unreachable for UTF-8: no multibyte sequence holds a line break
+    return 1
 
 
 def _data_lines(lines):

@@ -34,7 +34,8 @@ from .features import (
     second_moments,
     window_pairs,
 )
-from .model import FactorPosterior, GammaPosterior, init_state, prior_precision
+from .model import (FactorPosterior, GammaPosterior, check_state, init_state,
+                    prior_precision)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -369,9 +370,10 @@ def _start_state(start, config, window):
     """A fit's own copy of the state `start`, checked against the config and
     the window: the factor and Gamma posteriors the fit replaces are new
     objects, so `start` is left as it was; their arrays are shared, and the
-    fit writes none of them. A field whose shape does not match the order,
-    the window and factor 0's rank, a non-finite factor or a covariance
-    that is not exactly symmetric is refused by name."""
+    fit writes none of them. A start whose order (its factor count),
+    window or row_prec_fixed does not match the fit, or that
+    model.check_state refuses, is refused by name."""
+    check_state("start state", start)
     if start.order != config.order:
         raise ValueError(f"start state has order {start.order}, the config "
                          f"{config.order}")
@@ -380,30 +382,6 @@ def _start_state(start, config, window):
     if start.row_prec_fixed == config.lag_sparsity:
         raise ValueError(f"start state has row_prec_fixed={start.row_prec_fixed}, "
                          f"the config lag_sparsity={config.lag_sparsity}")
-    if len(start.factors) != start.order:
-        raise ValueError(f"start state has {len(start.factors)} factors, "
-                         f"order {start.order}")
-    rank = start.rank
-    for name, size in (("col_prec", rank), ("row_prec", window)):
-        for part in ("shape", "rate"):
-            got = np.shape(getattr(getattr(start, name), part))
-            if got != (size,):
-                raise ValueError(f"start state {name}.{part} is an array of shape "
-                                 f"{got}, expected ({size},)")
-    for d, f in enumerate(start.factors):
-        if f.cov is None:
-            raise ValueError(f"start state factor {d} has no covariance")
-        for name, value, shape in (("mean", f.mean, (window, rank)),
-                                   ("covariance", f.cov, (window * rank,) * 2)):
-            if np.shape(value) != shape:
-                raise ValueError(f"start state factor {d} {name} has shape "
-                                 f"{np.shape(value)}, expected {shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"start state factor {d} {name} is not finite")
-        # block_quadratics and second_moments read the covariance as exactly
-        # symmetric
-        if not np.array_equal(f.cov, np.transpose(f.cov)):
-            raise ValueError(f"start state factor {d} covariance is not symmetric")
     return replace(start, factors=[replace(f) for f in start.factors])
 
 
@@ -450,9 +428,9 @@ def identify(U, y, config, priors=None, normalization=None, start=None):
     U is the I x N lagged window matrix and y the length-N output in model
     units. The fit begins from init_state at the config's order, rank and
     seed, or, when `start` is a ModelState, from that state: it must have
-    the config's order, U's window, row_prec_fixed equal to not
-    lag_sparsity, and finite factors of one rank with exactly symmetric
-    covariances, and it brings its own rank, priors and normalization, so
+    the config's order, U's window and row_prec_fixed equal to not
+    lag_sparsity, and pass model.check_state, and it brings its own rank,
+    priors and normalization, so
     `priors` and `normalization` must then be None. `start` itself is not
     changed. Each sweep is one _sweep; its bound is recorded, and then
     the rank is truncated, slicing the moment stacks one at a time. The

@@ -1,4 +1,12 @@
-"""Posterior state containers, prior constants, and initialization."""
+"""Posterior state containers, prior constants, and initialization.
+
+A ModelState reads its order, memory and rank from its factors: D
+factors of (I, R) means give order D, memory I - 1 and rank R.
+check_state is the one definition of a well-formed state, for a state
+that comes from outside a fit (a fit's start, a save); check_gamma is its
+rule for one Gamma posterior, which load_model applies to each stored
+one.
+"""
 
 from __future__ import annotations
 
@@ -90,7 +98,9 @@ class NormalizationRecord:
 
 @dataclass
 class ModelState:
-    """Everything the sweeps update, plus the config echo needed to predict.
+    """Everything the sweeps update, plus the priors and normalization
+    needed to predict. Order, window (memory + 1) and rank are read from
+    the factors, as check_state requires them to agree.
 
     col_prec holds the R rank-sparsity precisions, row_prec the I lag
     precisions shared by every factor, noise the scalar observation
@@ -98,8 +108,6 @@ class ModelState:
     at 1 (prior precision Lambda kron I) and are never updated.
     """
 
-    order: int
-    memory: int
     factors: list[FactorPosterior]
     col_prec: GammaPosterior
     row_prec: GammaPosterior
@@ -109,8 +117,16 @@ class ModelState:
     row_prec_fixed: bool = False
 
     @property
+    def order(self):
+        return len(self.factors)
+
+    @property
     def window(self):
-        return self.memory + 1
+        return int(self.factors[0].mean.shape[0])
+
+    @property
+    def memory(self):
+        return self.window - 1
 
     @property
     def rank(self):
@@ -127,6 +143,56 @@ class ModelState:
         return np.asarray(self.row_prec.mean, dtype=float)
 
 
+def check_gamma(name, posterior, shape):
+    """Refuse a Gamma posterior whose shape or rate parameters are not an
+    array of shape `shape` (a scalar when empty) of positive, finite
+    values, with a ValueError that starts with `name`."""
+    for part in ("shape", "rate"):
+        values = np.asarray(getattr(posterior, part), dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"{name} {part} has shape {list(values.shape)}, "
+                             f"expected {list(shape)}")
+        if not (np.isfinite(values).all() and (values > 0).all()):
+            raise ValueError(f"{name} {part} must be positive and finite")
+
+
+def check_state(name, state):
+    """Refuse a ModelState that a fit or a save cannot take, with a
+    ValueError that starts with `name` and names the field.
+
+    Every factor must have a covariance, the (I, R) mean shape of factor
+    0 (I >= 2, R >= 1) and an (RI, RI) covariance, both finite, the covariance
+    exactly symmetric, as the moment kernels read it; the noise, column
+    and lag Gamma posteriors must have shapes (), (R,) and (I,) and pass
+    check_gamma. Positive definiteness, which takes a factorization, is
+    not tested here; load_model tests it on each covariance it reads.
+    Scoring does not call this: at the paper shape it costs about a
+    quarter of an evaluate.
+    """
+    if not state.factors:
+        raise ValueError(f"{name} has no factors")
+    shape = np.shape(state.factors[0].mean)
+    # init_state and load_model take memory >= 1, so a window of 2
+    if len(shape) != 2 or shape[0] < 2 or shape[1] < 1:
+        raise ValueError(f"{name} factor 0 mean has shape {shape}, "
+                         "expected (I, R) with I >= 2 and R >= 1")
+    window, rank = shape
+    for d, f in enumerate(state.factors):
+        if f.cov is None:
+            raise ValueError(f"{name} factor {d} has no covariance")
+        for part, value, expected in (("mean", f.mean, shape),
+                                      ("covariance", f.cov, (window * rank,) * 2)):
+            if np.shape(value) != expected:
+                raise ValueError(f"{name} factor {d} {part} has shape "
+                                 f"{np.shape(value)}, expected {expected}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} factor {d} {part} is not finite")
+        if not np.array_equal(f.cov, np.transpose(f.cov)):
+            raise ValueError(f"{name} factor {d} covariance is not symmetric")
+    for part, size in (("noise", ()), ("col_prec", (rank,)), ("row_prec", (window,))):
+        check_gamma(f"{name} {part}", getattr(state, part), size)
+
+
 def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
                row_prec_fixed=False):
     """Draw a starting state.
@@ -138,6 +204,7 @@ def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
     order = checked("order", order, int, minimum=1)
     memory = checked("memory", memory, int, minimum=1)
     rank = checked("rank", rank, int, minimum=1)
+    seed = checked("seed", seed, int, minimum=0)
     priors = priors if priors is not None else PriorConfig()
     window = memory + 1
     rng = np.random.default_rng(seed)
@@ -150,8 +217,6 @@ def init_state(order, memory, rank, priors=None, seed=0, normalization=None,
         for _ in range(order)
     ]
     return ModelState(
-        order=order,
-        memory=memory,
         factors=factors,
         col_prec=GammaPosterior(np.full(rank, priors.col_shape),
                                 np.full(rank, priors.col_rate)),

@@ -21,6 +21,8 @@ from .model import (
     ModelState,
     NormalizationRecord,
     PriorConfig,
+    check_gamma,
+    check_state,
 )
 
 FORMAT_VERSION = 1
@@ -34,8 +36,11 @@ def save_model(state, directory, info=None):
     manifest (fit metadata such as seed, final bound, runtime). The
     manifest is written last, and an old one is removed before the first
     blob, so a save that stops partway leaves a directory that does not
-    load rather than an old manifest beside new blobs.
+    load rather than an old manifest beside new blobs. A state that
+    model.check_state refuses raises its ValueError before the directory
+    is touched.
     """
+    check_state("state", state)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / MANIFEST_NAME).unlink(missing_ok=True)
@@ -133,19 +138,12 @@ def _fields(manifest, group):
 
 
 def _gamma(posteriors, name, shape):
-    """The stored Gamma posterior `name`: shape and rate parameters of
-    array shape `shape` (a scalar when empty), positive and finite."""
-    parts = []
-    for part in ("shape", "rate"):
-        values = np.asarray(_numbers(f"posteriors.{name}.{part}", posteriors[name][part]),
-                            dtype=float)
-        if values.shape != shape:
-            raise ValueError(f"{name} {part} has shape {list(values.shape)}, "
-                             f"expected {list(shape)}")
-        if not (np.isfinite(values).all() and (values > 0).all()):
-            raise ValueError(f"{name} {part} must be positive and finite")
-        parts.append(values if shape else float(values))
-    return GammaPosterior(*parts)
+    """The stored Gamma posterior `name`, parsed and passed through
+    model.check_gamma at array shape `shape` (a float each when empty)."""
+    parts = [np.asarray(_numbers(f"posteriors.{name}.{part}", posteriors[name][part]),
+                        dtype=float) for part in ("shape", "rate")]
+    check_gamma(name, GammaPosterior(*parts), shape)
+    return GammaPosterior(*(parts if shape else map(float, parts)))
 
 
 def load_model(directory):
@@ -192,14 +190,6 @@ def load_model(directory):
             raise ModelFormatError(f"{cov_path}: covariance is not "
                                    "positive definite") from None
         factors.append(FactorPosterior(mean=mean, cov=cov))
-    return ModelState(
-        order=order,
-        memory=memory,
-        factors=factors,
-        col_prec=col_prec,
-        row_prec=row_prec,
-        noise=noise,
-        priors=priors,
-        normalization=normalization,
-        row_prec_fixed=row_prec_fixed,
-    )
+    return ModelState(factors=factors, col_prec=col_prec, row_prec=row_prec, noise=noise,
+                      priors=priors, normalization=normalization,
+                      row_prec_fixed=row_prec_fixed)

@@ -89,6 +89,11 @@ BAD_FIELDS = [
     ("init_state", "order", True),
     ("init_state", "memory", 3.0),
     ("init_state", "rank", 2.5),
+    ("init_state", "seed", True),
+    ("init_state", "seed", None),
+    ("init_state", "seed", 2.5),
+    ("init_state", "seed", "3"),
+    ("init_state", "seed", -1),
     ("build_lagged_matrix", "memory", 2.5),
     ("build_lagged_matrix", "memory", True),
     ("build_lagged_matrix", "memory", np.True_),

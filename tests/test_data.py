@@ -86,6 +86,21 @@ def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
         load_csv(marked)
 
 
+def test_load_csv_cites_the_first_line_that_is_not_utf8(tmp_path):
+    # the decoder used to raise a bare UnicodeDecodeError at a byte offset;
+    # the header is line 1, and a fault deep in a long file is found too
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"u,y\n0.1,0.2\n0.3,\xe90.4\n")
+    with pytest.raises(DataFormatError, match=r"latin1.csv:3: not UTF-8 text$"):
+        load_csv(path)
+    path.write_bytes(b"\xef\xbb\xbfu\xe9,y\r\n1,2\r\n")
+    with pytest.raises(DataFormatError, match=r"latin1.csv:1: not UTF-8 text$"):
+        load_csv(path)
+    path.write_bytes(b"u,y\n" + b"0.5,1.0\n" * 20000 + b"\xff,1\n")
+    with pytest.raises(DataFormatError, match=r"latin1.csv:20002: not UTF-8 text$"):
+        load_csv(path)
+
+
 def test_load_csv_cites_the_offending_line(tmp_path):
     path = write(tmp_path, "u,y\n0.1,1.0\nnan,1.1\n")
     with pytest.raises(DataFormatError, match=":3:"):

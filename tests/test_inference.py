@@ -30,6 +30,8 @@ from bayesvolterra import (
     init_state,
     kept_pairs,
     khatri_rao,
+    load_model,
+    save_model,
     second_moments,
     truncate_rank,
     update_col_precisions,
@@ -62,8 +64,6 @@ def regression_problem(seed, n=200, memory=5, noise=0.1):
 def scalar_state(mean, var, col_mean, row_mean, noise_mean, priors=None):
     """A one-entry, one-column state with prescribed posterior moments."""
     return ModelState(
-        order=1,
-        memory=0,
         factors=[FactorPosterior(np.array([[mean]]), np.array([[var]]),
                                  cov_logdet=float(np.log(var)))],
         col_prec=GammaPosterior(np.array([2.0 * col_mean]), np.array([2.0])),
@@ -832,11 +832,11 @@ def test_identify_refuses_a_start_that_does_not_fit():
         (init_state(2, 5, 3), "window"),
         (init_state(2, 4, 3, row_prec_fixed=True), "row_prec_fixed"),
         (no_cov, "factor 1 has no covariance"),
-        (malformed(lambda s: s.factors.append(s.factors[0])), "has 3 factors"),
+        (malformed(lambda s: s.factors.append(s.factors[0])), "has order 3"),
         (malformed(lambda s: setattr(s, "col_prec", GammaPosterior(np.ones(3), np.ones(3)))),
-         "col_prec.shape is an array of shape"),
+         "col_prec shape has shape"),
         (malformed(lambda s: setattr(s, "row_prec", GammaPosterior(np.ones(5), np.ones(4)))),
-         "row_prec.rate is an array of shape"),
+         "row_prec rate has shape"),
         (malformed(lambda s: s.factors.__setitem__(1, init_state(2, 4, 3).factors[1])),
          "factor 1 mean has shape"),
         (malformed(lambda s: setattr(s.factors[1], "cov", np.eye(19))),
@@ -846,6 +846,17 @@ def test_identify_refuses_a_start_that_does_not_fit():
         (malformed(lambda s: setattr(s.factors[1], "cov", np.diag(np.r_[np.inf, np.ones(19)]))),
          "factor 1 covariance is not finite"),
         (malformed(asymmetric), "factor 0 covariance is not symmetric"),
+        # these four failed inside the first sweep, naming no field
+        (malformed(lambda s: setattr(s, "noise", GammaPosterior(1.0, 0.0))),
+         "start state noise rate must be positive and finite"),
+        (malformed(lambda s: setattr(s, "row_prec",
+                                     GammaPosterior(np.ones(5), np.r_[-1.0, np.ones(4)]))),
+         "start state row_prec rate must be positive and finite"),
+        (malformed(lambda s: setattr(s, "col_prec",
+                                     GammaPosterior(np.r_[np.nan, np.ones(3)], np.ones(4)))),
+         "start state col_prec shape must be positive and finite"),
+        (malformed(lambda s: setattr(s, "noise", GammaPosterior(np.ones(2), np.ones(2)))),
+         r"start state noise shape has shape \[2\], expected \[\]"),
     ]:
         with pytest.raises(ValueError, match=match):
             identify(U, y, config, start=start)
@@ -884,6 +895,29 @@ def test_identify_continues_a_fit_from_the_state_it_returns(order, threshold):
         assert f_tail.cov_logdet == f_whole.cov_logdet
     for name in ("col_prec", "row_prec", "noise"):
         got, want = getattr(tail, name), getattr(whole, name)
+        assert_array_equal(got.shape, want.shape)
+        assert_array_equal(got.rate, want.rate)
+
+
+@pytest.mark.parametrize("threshold", [1e-300, 0.05], ids=["untruncated", "truncated"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_identify_resumes_a_fit_from_disk(tmp_path, order, threshold):
+    # a saved and reloaded state starts a fit exactly as the state itself
+    u, y, _ = make_rank2_data(1, n=300)
+    U = build_lagged_matrix(u, 4)
+    config = FitConfig(order=order, rank=4, max_iter=3, elbo_rel_tol=1e-300,
+                       truncation_threshold=threshold, seed=0)
+    state, _ = identify(U, y, config)
+    fits = [identify(U, y, config, start=start)
+            for start in (state, load_model(save_model(state, tmp_path / "model")))]
+    (direct, direct_trace), (resumed, resumed_trace) = fits
+    for name in ("elbo", "rank", "noise_mean"):
+        assert getattr(resumed_trace, name) == getattr(direct_trace, name)
+    for f_resumed, f_direct in zip(resumed.factors, direct.factors, strict=True):
+        assert_array_equal(f_resumed.mean, f_direct.mean)
+        assert_array_equal(f_resumed.cov, f_direct.cov)
+    for name in ("col_prec", "row_prec", "noise"):
+        got, want = getattr(resumed, name), getattr(direct, name)
         assert_array_equal(got.shape, want.shape)
         assert_array_equal(got.rate, want.rate)
 

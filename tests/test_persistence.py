@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from bayesvolterra import (
+    FactorPosterior,
+    GammaPosterior,
     ModelFormatError,
     load_manifest,
     load_model,
@@ -315,6 +317,38 @@ def test_prior_too_large_for_a_float_is_rejected(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match="malformed manifest"):
         load_model(directory)
+
+
+def _asymmetric(state):
+    cov = state.factors[0].cov.copy()
+    cov[0, -1] += 1e-9
+    state.factors[0].cov = cov
+
+
+def _memory_zero(state):
+    # a one-row window, which load_model refuses as memory 0
+    state.factors = [FactorPosterior(f.mean[:1, :1], f.cov[:1, :1]) for f in state.factors]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_asymmetric, "state factor 0 covariance is not symmetric"),
+    (lambda state: setattr(state, "noise", GammaPosterior(1.0, -1.0)),
+     "state noise rate must be positive and finite"),
+    (_memory_zero, "state factor 0 mean has shape (1, 1), expected (I, R) with I >= 2 "
+                   "and R >= 1"),
+], ids=["asymmetric", "negative_noise_rate", "memory_zero"])
+def test_a_state_that_would_not_load_is_not_saved(tmp_path, damage, message):
+    # the save used to delete the old manifest and write a directory that
+    # load_model refuses; it now raises first, and the old model loads
+    old = random_state(4)
+    directory = save_model(old, tmp_path / "model")
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    state = random_state(4)
+    damage(state)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_model(state, directory)
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == files
+    assert_array_equal(load_model(directory).factors[0].cov, old.factors[0].cov)
 
 
 def test_a_save_that_stops_partway_does_not_load(tmp_path, monkeypatch):
